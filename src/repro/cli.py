@@ -29,7 +29,7 @@ import csv
 import json
 import pathlib
 import sys
-from typing import Dict, List, Optional, Sequence, TextIO, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from repro.logs.message import (
 )
 from repro.logs.persistence import store_from_json, store_to_json
 from repro.logs.templates import TemplateStore
-from repro.rca import DEFAULT_CLUSTER_GAP, RcaEngine, incident_row
+from repro.rca import DEFAULT_CLUSTER_GAP
 from repro.runtime.fleet import (
     FleetConfig,
     FleetCoordinator,
@@ -56,15 +56,14 @@ from repro.runtime.fleet import (
     load_ring,
 )
 from repro.runtime.adapt import AdaptConfig, AdaptationController
-from repro.runtime.service import (
-    FAULT_AFTER_WAL_APPEND,
-    AdaptiveTicker,
-    MonitorService,
-    ServiceConfig,
-    TickResult,
-    stage_release,
+from repro.runtime.service import ServiceConfig, stage_release
+from repro.runtime.session import (
+    SESSION_ERRORS,
+    ServeSession,
+    SessionSpec,
+    SimulatedCrash,
 )
-from repro.runtime.store import ArtifactStore, StoreError
+from repro.runtime.store import ArtifactStore
 from repro.synthesis import (
     FleetDataset,
     FleetSimulator,
@@ -75,11 +74,7 @@ from repro.synthesis import (
 )
 from repro.tickets.ticket import RootCause, TroubleTicket
 from repro.timeutil import DAY, MONTH, WEEK
-from repro.topology import (
-    FleetTopology,
-    TopologyConfig,
-    TopologyError,
-)
+from repro.topology import FleetTopology, TopologyConfig
 
 
 # -- trace I/O ------------------------------------------------------------
@@ -396,101 +391,15 @@ def cmd_report(args: argparse.Namespace) -> int:
 # -- serve ----------------------------------------------------------------
 
 
-class _SimulatedCrash(Exception):
-    """Raised by the ``--kill-after-ticks`` fault hook (exit code 3)."""
-
-
-def _drain_incidents(
-    service: MonitorService, handle: Optional[TextIO]
-) -> int:
-    """Write the RCA engine's newly closed incidents; return the count.
-
-    Rows are ``repr(float)``-rendered (see
-    :func:`repro.rca.incident_row`), so a crashed-then-replayed run's
-    concatenated output collapses to the uninterrupted run's under
-    ``sort -u`` — the parity the rca-e2e CI job asserts.
-    """
-    if service.rca is None:
-        return 0
-    reports = service.rca.drain_closed()
-    if handle is not None and reports:
-        for report in reports:
-            handle.write(incident_row(report))
-        handle.flush()
-    return len(reports)
-
-
-class _TickWriter:
-    """Append-mode CSV sinks for tick outcomes, flushed per tick.
-
-    Scores are written as ``repr(float)`` so the CSV round-trips the
-    float64 bit pattern exactly — the service-e2e CI job diffs these
-    files across a crashed-and-replayed run and an uninterrupted one.
-    """
-
-    def __init__(
-        self,
-        scores_path: Optional[str],
-        warnings_path: Optional[str],
-    ) -> None:
-        self._scores = (
-            open(scores_path, "a", newline="") if scores_path else None
-        )
-        self._warnings = (
-            open(warnings_path, "a", newline="")
-            if warnings_path
-            else None
-        )
-
-    def write(self, results: Sequence[TickResult]) -> None:
-        """Append one row per score and per warning; flush."""
-        if self._scores is not None:
-            writer = csv.writer(self._scores)
-            for result in results:
-                for i, score in enumerate(result.scores):
-                    writer.writerow(
-                        [
-                            result.tick,
-                            i,
-                            repr(float(score)),
-                            int(result.kept[i]),
-                        ]
-                    )
-            self._scores.flush()
-        if self._warnings is not None:
-            writer = csv.writer(self._warnings)
-            for result in results:
-                for w in result.warnings:
-                    writer.writerow(
-                        [
-                            result.tick,
-                            w.vpe,
-                            repr(w.time),
-                            repr(w.first_anomaly),
-                            w.n_anomalies,
-                            repr(w.peak_score),
-                        ]
-                    )
-            self._warnings.flush()
-
-    def close(self) -> None:
-        """Release the underlying file handles."""
-        try:
-            if self._scores is not None:
-                self._scores.close()
-        finally:
-            if self._warnings is not None:
-                self._warnings.close()
+#: Typed errors ``serve`` reports in one line with exit code 2: bad
+#: on-disk state, a held lock, an unreadable topology or ring journal.
+_SERVE_ERRORS = (*SESSION_ERRORS, FleetError)
 
 
 def _serve_feed(trace_dir: pathlib.Path) -> List[SyslogMessage]:
     """The trace merged into one deterministic arrival order."""
     meta, messages, _ = read_trace(trace_dir)
-    feed = [
-        message
-        for vpe in meta["vpes"]
-        for message in messages[vpe]
-    ]
+    feed = [message for vpe in meta["vpes"] for message in messages[vpe]]
     feed.sort(key=lambda m: m.timestamp)  # stable: fixed vpe order
     return feed
 
@@ -503,51 +412,85 @@ def cmd_serve(args: argparse.Namespace) -> int:
     replays unacknowledged WAL ticks before resuming the feed.  With
     ``--shards N`` (N > 1) the same feed runs through the sharded
     fleet runtime instead: one worker process per shard, routed by the
-    consistent-hash ring.  Exit codes: 0 on success, 2 on operator
-    error, 3 when a crash was simulated (``--kill-after-ticks``, or
+    consistent-hash ring; either way a
+    :class:`~repro.runtime.session.ServeSession` serves each shard.
+    Exit codes: 0 on success, 2 on operator error or bad on-disk
+    state, 3 when a crash was simulated (``--kill-after-ticks``, or
     ``--kill-shard K --after-ticks T`` in fleet mode).
     """
     registry = telemetry.MetricsRegistry()
-    with telemetry.use(registry):
-        if args.shards > 1:
-            exit_code = _run_fleet_serve(args, registry)
-        else:
-            exit_code = _run_serve(args, registry)
-    return exit_code
+    try:
+        with telemetry.use(registry):
+            if args.shards > 1:
+                return _run_fleet_serve(args)
+            return _run_serve(args)
+    except _SERVE_ERRORS as error:
+        print(str(error), file=sys.stderr)
+        return 2
+    finally:
+        if args.telemetry_out:
+            pathlib.Path(args.telemetry_out).write_text(
+                registry.to_json()
+            )
 
 
-def _run_fleet_serve(
-    args: argparse.Namespace, registry: "telemetry.MetricsRegistry"
-) -> int:
+def _bootstrap(
+    args: argparse.Namespace, configs: Sequence[ServiceConfig]
+) -> bool:
+    """Publish ``--model``/``--threshold`` to each store with no release.
+
+    Returns False, after saying why, when a store needs a release and
+    the flags are missing.
+    """
+    detector = None
+    for config in configs:
+        store = ArtifactStore(
+            config.store_dir, keep_releases=config.keep_releases
+        )
+        if store.current_id() is not None:
+            continue
+        if args.model is None or args.threshold is None:
+            print(
+                f"{store.directory} holds no release; bootstrap needs "
+                "--model and --threshold",
+                file=sys.stderr,
+            )
+            return False
+        if detector is None:
+            detector = _load_detector(pathlib.Path(args.model))
+        release = stage_release(store, detector, args.threshold)
+        print(f"published release {release.release_id} to {store.directory}")
+    return True
+
+
+def _run_fleet_serve(args: argparse.Namespace) -> int:
     """The ``serve --shards N`` workflow over the fleet coordinator."""
-    if args.auto_adapt:
-        print(
-            "--auto-adapt is a single-shard control loop; fleet "
-            "shards adapt individually (run each shard data dir "
-            "through serve --auto-adapt)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.rollback:
-        print(
-            "--rollback applies to single-shard stores; roll back "
-            "each shard-NN/store directory individually",
-            file=sys.stderr,
-        )
-        return 2
-    if args.kill_after_ticks is not None:
-        print(
-            "--kill-after-ticks is the single-shard drill; fleet "
-            "mode uses --kill-shard K --after-ticks T",
-            file=sys.stderr,
-        )
-        return 2
-    if (args.kill_shard is None) != (args.after_ticks is None):
-        print(
+    refusals = (
+        (
+            args.auto_adapt,
+            "--auto-adapt is a single-shard control loop; fleet shards "
+            "adapt individually (run each shard data dir through "
+            "serve --auto-adapt)",
+        ),
+        (
+            args.rollback,
+            "--rollback applies to single-shard stores; roll back each "
+            "shard-NN/store directory individually",
+        ),
+        (
+            args.kill_after_ticks is not None,
+            "--kill-after-ticks is the single-shard drill; fleet mode "
+            "uses --kill-shard K --after-ticks T",
+        ),
+        (
+            (args.kill_shard is None) != (args.after_ticks is None),
             "--kill-shard and --after-ticks go together",
-            file=sys.stderr,
-        )
-        return 2
+        ),
+    )
+    for refused, reason in refusals:
+        if refused:
+            print(reason, file=sys.stderr)
+            return 2
     config = FleetConfig(
         data_dir=args.data_dir,
         shards=args.shards,
@@ -563,30 +506,9 @@ def _run_fleet_serve(
         rca_gap=args.rca_gap,
         incidents_out=args.incidents_out,
     )
-    try:
-        ring = load_ring(config)
-    except FleetError as error:
-        print(str(error), file=sys.stderr)
+    ring = load_ring(config)
+    if not _bootstrap(args, [config.shard_config(k) for k in ring.shards]):
         return 2
-    for shard in ring.shards:
-        store = ArtifactStore(
-            config.shard_config(shard).store_dir,
-            keep_releases=config.keep_releases,
-        )
-        if store.current_id() is not None:
-            continue
-        if args.model is None or args.threshold is None:
-            print(
-                f"shard {shard} holds no release; bootstrap needs "
-                "--model and --threshold",
-                file=sys.stderr,
-            )
-            return 2
-        detector = _load_detector(pathlib.Path(args.model))
-        release = stage_release(store, detector, args.threshold)
-        print(
-            f"published release {release.release_id} to shard {shard}"
-        )
     if fleet_has_state(config) and not args.replay:
         print(
             f"{config.data_dir} has prior fleet state; rerun with "
@@ -594,11 +516,7 @@ def _run_fleet_serve(
             file=sys.stderr,
         )
         return 2
-    try:
-        coordinator = FleetCoordinator.open(config)
-    except FleetError as error:
-        print(str(error), file=sys.stderr)
-        return 2
+    coordinator = FleetCoordinator.open(config)
     exit_code = 0
     try:
         if args.replay:
@@ -636,62 +554,22 @@ def _run_fleet_serve(
                 exit_code = 3
     finally:
         coordinator.close()
-        if args.telemetry_out:
-            pathlib.Path(args.telemetry_out).write_text(
-                registry.to_json()
-            )
     print(f"fleet state in {config.data_dir}")
     return exit_code
 
 
-def _run_rollback(
-    config: ServiceConfig, store: ArtifactStore
-) -> int:
-    """``serve --rollback``: the journaled service rollback path.
-
-    Shares :meth:`MonitorService.rollback` with the auto-adapt
-    probation guard: the store pointer flip, the journaled swap and
-    the closing checkpoint land together, so a later ``--replay``
-    resumes under the rolled-back model with no tick re-scored under
-    the wrong weights (and none double-scored).
-    """
-    if store.current_id() is None:
-        print(
-            "store holds no release; nothing to roll back",
-            file=sys.stderr,
-        )
-        return 2
+def _run_rollback(config: ServiceConfig) -> int:
+    """``serve --rollback``: journal a rollback swap and checkpoint it,
+    so a later ``--replay`` resumes under the rolled-back model."""
+    session = ServeSession(SessionSpec(service=config))
     try:
-        service = MonitorService.open(config)
-    except Exception as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    completed = False
-    try:
-        has_state = (
-            config.checkpoint_path.exists()
-            or service.wal.last_sequence > 0
-        )
-        if has_state:
-            # Restore the tick-boundary state first so the rollback
-            # swap journals after every applied record.
-            service.recover()
-        release_id = service.rollback()
-        completed = True
-    except StoreError as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    finally:
-        if completed:
-            # Full close: the landed rollback gets its checkpoint.
-            service.close()
-        else:
-            # The swap did not land; skip the checkpoint and just
-            # surrender the files so the next attempt can lock them.
-            try:
-                service.wal.close()
-            finally:
-                service.lock.release()
+        release_id = session.rollback()
+    except BaseException:
+        # The swap did not land: no checkpoint, just surrender the
+        # files so the next attempt can lock them.
+        session.abandon()
+        raise
+    session.close()
     print(f"rolled back to release {release_id}")
     return 0
 
@@ -716,156 +594,85 @@ def _build_controller(
     return AdaptationController(adapt_config)
 
 
-def _run_serve(
-    args: argparse.Namespace, registry: "telemetry.MetricsRegistry"
-) -> int:
-    """The serve workflow, under a run-scoped metrics registry."""
+def _run_serve(args: argparse.Namespace) -> int:
+    """Single-shard serve: one in-process :class:`ServeSession`."""
     config = ServiceConfig(
         data_dir=args.data_dir,
         checkpoint_every=args.checkpoint_every,
         keep_releases=args.keep_releases,
         quantized=args.quantized,
     )
-    store = ArtifactStore(
-        config.store_dir, keep_releases=config.keep_releases
-    )
     if args.rollback:
-        return _run_rollback(config, store)
-    if store.current_id() is None:
-        if args.model is None or args.threshold is None:
+        return _run_rollback(config)
+    if not _bootstrap(args, [config]):
+        return 2
+    spec = SessionSpec(
+        service=config,
+        scores_path=args.scores_out,
+        warnings_path=args.warnings_out,
+        incidents_path=args.incidents_out,
+        kill_after_ticks=args.kill_after_ticks,
+        rca=args.rca,
+        topology=(
+            FleetTopology.load(args.topology)
+            if args.rca and args.topology
+            else None
+        ),
+        rca_gap=args.rca_gap,
+    )
+    session = ServeSession(spec, _build_controller(args))
+    try:
+        if session.has_state and not args.replay:
+            session.abandon()
             print(
-                "store holds no release; bootstrap needs --model "
-                "and --threshold",
+                f"{config.data_dir} has prior service state; rerun "
+                "with --replay to recover it (refusing to ingest "
+                "blind)",
                 file=sys.stderr,
             )
             return 2
-        detector = _load_detector(pathlib.Path(args.model))
-        release = stage_release(store, detector, args.threshold)
-        print(f"published release {release.release_id}")
-    rca_topology: Optional[FleetTopology] = None
-    if args.rca and args.topology:
-        try:
-            rca_topology = FleetTopology.load(args.topology)
-        except TopologyError as error:
-            print(str(error), file=sys.stderr)
-            return 2
-    # Deliberately not closed on the simulated-crash path below: the
-    # WAL tail must stay un-truncated so the next run recovers from
-    # the journal exactly like a real crash.
-    service = MonitorService.open(config)  # repro: noqa[RPR601]
-    # Attach the adaptation controller before any recovery so WAL
-    # replay rebuilds its drift windows and probation state.
-    service.controller = _build_controller(args)
-    if args.rca:
-        # Attached before recovery for the same reason: checkpointed
-        # open incidents restore, then replayed ticks rebuild the
-        # identical incident stream.
-        service.rca = RcaEngine(
-            topology=rca_topology, cluster_gap=args.rca_gap
-        )
-    has_state = (
-        config.checkpoint_path.exists()
-        or service.wal.last_sequence > 0
-    )
-    if has_state and not args.replay:
-        print(
-            f"{config.data_dir} has prior service state; rerun with "
-            "--replay to recover it (refusing to ingest blind)",
-            file=sys.stderr,
-        )
-        # Surrender the journal handle and owner lock without the
-        # checkpoint a full close() would write over the state we
-        # just refused to touch.
-        try:
-            service.wal.close()
-        finally:
-            service.lock.release()
-        return 2
-    if args.kill_after_ticks is not None:
-        survived = {"ticks": 0}
-
-        def _kill(point: str, sequence: int) -> None:
-            if point != FAULT_AFTER_WAL_APPEND:
-                return
-            survived["ticks"] += 1
-            if survived["ticks"] >= args.kill_after_ticks:
-                raise _SimulatedCrash(sequence)
-
-        service.fault_hook = _kill
-    writer = _TickWriter(args.scores_out, args.warnings_out)
-    incidents_handle: Optional[TextIO] = None
-    if args.rca and args.incidents_out:
-        incidents_handle = open(args.incidents_out, "a", newline="")
-    exit_code = 0
-    n_live = n_warnings = n_incidents = 0
-    try:
         if args.replay:
-            report = service.recover()
-            writer.write(report.results)
-            n_warnings += sum(
-                len(r.warnings) for r in report.results
-            )
-            n_incidents += _drain_incidents(service, incidents_handle)
+            report = session.recover()
             print(
                 f"recovered from cursor {report.checkpoint_cursor}; "
                 f"replayed {report.ticks_replayed} ticks "
                 f"({report.messages_replayed} messages, "
                 f"{report.swaps_replayed} swaps)"
             )
+        n_live = 0
         if args.trace:
-            feed = _serve_feed(pathlib.Path(args.trace))
-            ticker = None
-            if args.adaptive_tick:
-                ticker = AdaptiveTicker(
-                    initial=args.tick_size,
-                    min_size=min(64, args.tick_size),
-                    max_size=max(8192, args.tick_size),
-                )
-            for result in service.drain(
-                feed,
+            n_live = session.drain(
+                _serve_feed(pathlib.Path(args.trace)),
                 tick_size=args.tick_size,
-                ticker=ticker,
+                adaptive=args.adaptive_tick,
                 max_ticks=args.max_ticks,
-            ):
-                writer.write([result])
-                n_live += 1
-                n_warnings += len(result.warnings)
-                n_incidents += _drain_incidents(
-                    service, incidents_handle
-                )
-        service.close()
-        # close() flushed any incidents still open at shutdown.
-        n_incidents += _drain_incidents(service, incidents_handle)
-        print(
-            f"served {n_live} live ticks ({n_warnings} warnings); "
-            f"state in {config.data_dir}"
-        )
-        if service.rca is not None:
-            print(f"rca: {n_incidents} incident(s) closed this run")
-        if service.controller is not None:
-            print(
-                f"adaptation: {service.controller.swaps} swap(s), "
-                f"{service.controller.rollbacks} rollback(s) this run"
             )
-    except _SimulatedCrash as crash:
-        # Simulated kill: no close(), no final checkpoint — the next
-        # run must recover from the WAL exactly like a real crash.
+        session.close()
+    except SimulatedCrash as crash:
+        # No close(), no final checkpoint: the next run must recover
+        # from the WAL exactly like a real crash.
+        session.crash()
         print(
             f"simulated crash at journal sequence {crash.args[0]}",
             file=sys.stderr,
         )
-        exit_code = 3
-    finally:
-        try:
-            writer.close()
-        finally:
-            if incidents_handle is not None:
-                incidents_handle.close()
-        if args.telemetry_out:
-            pathlib.Path(args.telemetry_out).write_text(
-                registry.to_json()
-            )
-    return exit_code
+        return 3
+    except BaseException:
+        session.abandon()
+        raise
+    print(
+        f"served {n_live} live ticks ({session.n_warnings} warnings); "
+        f"state in {config.data_dir}"
+    )
+    if args.rca:
+        print(f"rca: {session.n_incidents} incident(s) closed this run")
+    controller = session.service.controller
+    if controller is not None:
+        print(
+            f"adaptation: {controller.swaps} swap(s), "
+            f"{controller.rollbacks} rollback(s) this run"
+        )
+    return 0
 
 
 #: Invariants asserted by ``repro telemetry --check``: the CI gate

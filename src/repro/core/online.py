@@ -36,89 +36,6 @@ from repro.timeutil import MINUTE
 MONITOR_STATE_VERSION = 1
 
 
-class AdaptiveTicker:
-    """Backpressure-driven tick sizing for stream drains.
-
-    The fused forward amortizes better over large ticks, but a large
-    tick also means a large backlog holds warnings back longer.  The
-    ticker watches the backlog-to-tick ratio after every drained tick
-    and resizes with hysteresis: only ``hysteresis`` *consecutive*
-    readings beyond a watermark trigger a resize, so one bursty tick
-    cannot thrash the size.  Growth and shrink are both a factor of
-    two, clamped to ``[min_size, max_size]``.
-
-    The live size is published to the ``stream.tick_size`` gauge after
-    every update, so operators can watch the loop adapt.
-    """
-
-    def __init__(
-        self,
-        initial: int = 1024,
-        min_size: int = 64,
-        max_size: int = 8192,
-        low_watermark: float = 0.5,
-        high_watermark: float = 2.0,
-        hysteresis: int = 3,
-    ) -> None:
-        if min_size < 1 or max_size < min_size:
-            raise ValueError(
-                "need 1 <= min_size <= max_size, got "
-                f"[{min_size}, {max_size}]"
-            )
-        if not min_size <= initial <= max_size:
-            raise ValueError(
-                f"initial {initial} outside [{min_size}, {max_size}]"
-            )
-        if not 0 <= low_watermark < high_watermark:
-            raise ValueError(
-                "need 0 <= low_watermark < high_watermark, got "
-                f"[{low_watermark}, {high_watermark}]"
-            )
-        if hysteresis < 1:
-            raise ValueError("hysteresis must be >= 1")
-        self.size = initial
-        self.min_size = min_size
-        self.max_size = max_size
-        self.low_watermark = low_watermark
-        self.high_watermark = high_watermark
-        self.hysteresis = hysteresis
-        self._over = 0
-        self._under = 0
-
-    def update(self, backlog: int) -> int:
-        """Feed the post-tick backlog; return the (possibly new) size.
-
-        ``backlog`` is the number of messages still waiting after the
-        tick that just drained.  A backlog persistently above
-        ``high_watermark`` ticks means the drain is falling behind —
-        grow the tick to amortize the forward pass over more messages.
-        A backlog persistently below ``low_watermark`` ticks means the
-        loop is keeping up — shrink to tighten warning latency.
-        """
-        if backlog < 0:
-            raise ValueError(f"negative backlog: {backlog}")
-        ratio = backlog / self.size
-        if ratio >= self.high_watermark:
-            self._over += 1
-            self._under = 0
-            if self._over >= self.hysteresis:
-                self.size = min(self.size * 2, self.max_size)
-                self._over = 0
-        elif ratio <= self.low_watermark:
-            self._under += 1
-            self._over = 0
-            if self._under >= self.hysteresis:
-                self.size = max(self.size // 2, self.min_size)
-                self._under = 0
-        else:
-            self._over = 0
-            self._under = 0
-        telemetry.default_registry().gauge("stream.tick_size").set(
-            self.size
-        )
-        return self.size
-
-
 @dataclass(frozen=True)
 class WarningSignature:
     """One operator-facing warning emitted by the monitor.
@@ -372,28 +289,14 @@ class OnlineMonitor:
         self,
         messages: Iterable[SyslogMessage],
         tick_size: Optional[int] = None,
-        ticker: Optional[AdaptiveTicker] = None,
     ) -> List[WarningSignature]:
-        """Drain a whole (sorted) stream in micro-batched ticks.
+        """Drain a whole (sorted) stream in fixed micro-batched ticks.
 
-        With ``ticker`` the tick size adapts to backpressure: the
-        ticker is fed the remaining backlog after every tick and may
-        grow or shrink the next one.  Otherwise ``tick_size`` (or the
-        constructor default) is used fixed.
+        ``tick_size`` defaults to the constructor's.
         """
         if not isinstance(messages, (list, tuple)):
             messages = list(messages)
         warnings: List[WarningSignature] = []
-        if ticker is not None:
-            offset = 0
-            while offset < len(messages):
-                batch = messages[offset:offset + ticker.size]
-                for warning in self.observe_batch(batch):
-                    if warning is not None:
-                        warnings.append(warning)
-                offset += len(batch)
-                ticker.update(len(messages) - offset)
-            return warnings
         tick = self.tick_size if tick_size is None else tick_size
         if tick < 1:
             raise ValueError("tick_size must be >= 1")

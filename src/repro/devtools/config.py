@@ -42,10 +42,11 @@ WORKER_ENTRYPOINTS: Tuple[str, ...] = (
 )
 
 #: Project classes allowed across multiprocessing pipes / spawn args.
-#: ``_WorkerSpec`` is a frozen dataclass of primitives: it pickles
-#: bit-stably and carries no handles, so shipping it to a worker is
-#: the designed hand-off, not a leak of live state.
-PIPE_SAFE_CLASSES: Tuple[str, ...] = ("_WorkerSpec",)
+#: ``SessionSpec`` is a frozen dataclass of configuration (paths,
+#: knobs, a read-only topology): it pickles and carries no handles, so
+#: shipping it to a worker is the designed hand-off, not a leak of
+#: live state.
+PIPE_SAFE_CLASSES: Tuple[str, ...] = ("SessionSpec",)
 
 #: Resource classes tracked by the RPR6xx lifecycle checks, mapped to
 #: the method(s) that release them.  ``open`` is the builtin file
@@ -56,8 +57,7 @@ RESOURCE_CLASSES: Dict[str, Tuple[str, ...]] = {
     "OwnerLock": ("release",),
     "MonitorService": ("close",),
     "FleetCoordinator": ("close",),
-    "_TickWriter": ("close",),
-    "_ShardTickWriter": ("close",),
+    "_TickSink": ("close",),
 }
 
 #: Function names treated as teardown paths: every tracked release

@@ -14,7 +14,10 @@ in-memory streaming engine:
   scorer ring buffers, monitor warning state and tick cursor;
 * :mod:`repro.runtime.service` — the supervisor tying tick loop,
   WAL, checkpoint cadence, hot model swap and graceful shutdown
-  together (``python -m repro serve`` drives it from the CLI);
+  together;
+* :mod:`repro.runtime.session` — one shard's serve lifecycle (service,
+  RCA, crash drill, CSV sinks), run in-process by ``python -m repro
+  serve`` and inside every fleet worker;
 * :mod:`repro.runtime.lock` — pid-stamped owner lockfiles so two
   processes can never append to one service's WAL;
 * :mod:`repro.runtime.ring` — the deterministic consistent-hash
@@ -58,6 +61,7 @@ from repro.runtime.service import (
     detector_from_release,
     stage_release,
 )
+from repro.runtime.session import ServeSession, SessionSpec
 from repro.runtime.store import ArtifactStore, Release, StoreError
 from repro.runtime.wal import (
     WalCorruptionError,
@@ -81,7 +85,9 @@ __all__ = [
     "Release",
     "ReplayReport",
     "ServiceConfig",
+    "ServeSession",
     "ServiceError",
+    "SessionSpec",
     "ShardDrain",
     "StoreError",
     "TickResult",

@@ -1,10 +1,10 @@
 """Arena-backed binary tick codec for the write-ahead log.
 
 The service journals every ingested tick before scoring it, so the
-encoder sits directly on the ingest hot path.  The original codec
-JSON-encoded a positional row per message — one Python-level encode
-per message plus a container allocation per tick.  This codec packs
-the whole tick column-major into one preallocated, grow-only arena:
+encoder sits directly on the ingest hot path.  Rather than one
+Python-level encode per message plus a container allocation per tick,
+it packs the whole tick column-major into one preallocated, grow-only
+arena:
 
 * one :func:`repro.logs.message.message_columns` pass shared with the
   streaming scorer's ingest,
@@ -19,8 +19,8 @@ steady state.
 
 Record layout (all integers little-endian)::
 
-    u8  magic (0xB1)       -- never 0x7B ('{'), so binary ticks are
-    u8  codec version         distinguishable from legacy JSON records
+    u8  magic (0xB1)       -- never 0x7B ('{'), so tick records are
+    u8  codec version         distinguishable from JSON swap records
     u32 message count n
     f64 timestamps[n]
     u8  severities[n]
@@ -49,7 +49,7 @@ from repro.logs.message import (
 )
 
 #: First payload byte of a binary tick record.  Any value other than
-#: ``0x7B`` (``{``) works; the service dispatches legacy JSON records
+#: ``0x7B`` (``{``) works; the service dispatches its JSON swap records
 #: by that opening brace.
 TICK_MAGIC = 0xB1
 

@@ -8,7 +8,8 @@ fleet, not the instance, as the unit of operation.  This module adds a
 * a :class:`FleetCoordinator` routes every device to one shard via a
   deterministic consistent-hash ring (:mod:`repro.runtime.ring`) — the
   routing is replayable, so crash recovery composes per shard;
-* each shard is a worker **process** owning a private
+* each shard is a worker **process** running one
+  :class:`~repro.runtime.session.ServeSession` over a private
   :class:`~repro.runtime.service.MonitorService` (its own WAL segment
   directory, checkpoint and artifact-store view under
   ``data_dir/shard-NN/``), guarded by the service's owner lockfile;
@@ -17,11 +18,11 @@ fleet, not the instance, as the unit of operation.  This module adds a
   (:mod:`repro.runtime.codec`), with first-byte dispatch between tick
   payloads and JSON control frames; a bounded in-flight window per
   shard provides backpressure, which feeds the per-shard
-  :class:`~repro.core.online.AdaptiveTicker` under adaptive sizing;
+  :class:`~repro.runtime.session.AdaptiveTicker` under adaptive sizing;
 * ring membership changes (:meth:`FleetCoordinator.add_shard` /
   :meth:`FleetCoordinator.remove_shard`) are journaled to
-  ``ring.jsonl`` so reopening the fleet rebuilds the identical
-  assignment;
+  ``ring.jsonl`` (fsynced per event) so reopening the fleet rebuilds
+  the identical assignment;
 * worker telemetry registries are merged
   (:meth:`repro.telemetry.MetricsRegistry.merge`) into one fleet
   snapshot on close, alongside live ``fleet.*`` gauges (shard count,
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 import pathlib
 import sys
 import time
@@ -47,23 +49,19 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import telemetry
 from repro.core.detector import LSTMAnomalyDetector
-from repro.core.online import AdaptiveTicker
 from repro.logs.message import SyslogMessage
-from repro.rca import (
-    DEFAULT_CLUSTER_GAP,
-    IncidentReport,
-    RcaEngine,
-    incident_row,
-)
+from repro.rca import DEFAULT_CLUSTER_GAP
 from repro.runtime.codec import TICK_MAGIC, TickEncoder, decode_tick
 from repro.runtime.lock import LOCK_FILENAME, OwnerLock
 from repro.runtime.ring import DEFAULT_REPLICAS, HashRing
-from repro.runtime.service import (
-    FAULT_AFTER_WAL_APPEND,
-    MonitorService,
-    ServiceConfig,
-    TickResult,
-    stage_release,
+from repro.runtime.service import ServiceConfig, stage_release
+from repro.runtime.session import (
+    SESSION_ERRORS,
+    AdaptiveTicker,
+    ServeSession,
+    SessionSpec,
+    SimulatedCrash,
+    adaptive_ticker,
 )
 from repro.runtime.store import ArtifactStore, Release
 from repro.runtime.wal import DEFAULT_SEGMENT_BYTES
@@ -81,10 +79,6 @@ _RING_LEAVE = "leave"
 
 class FleetError(RuntimeError):
     """Raised for invalid fleet operations or a wedged worker."""
-
-
-class _ShardCrash(Exception):
-    """Raised inside a worker by the ``kill_after_ticks`` drill hook."""
 
 
 @dataclass(frozen=True)
@@ -118,8 +112,9 @@ class FleetConfig:
             service; per-shard incidents close over the shard's own
             devices, and the ``rca.*`` registries fold into the
             coordinator's fleet snapshot on close.
-        topology_path: fleet topology JSON every worker loads for
-            incident clustering/attribution (``None``: per-device).
+        topology_path: fleet topology JSON the coordinator reads once
+            for every worker's incident clustering/attribution
+            (``None``: per-device).
         rca_gap: quiet stream seconds that close an incident.
         incidents_out: base path for per-shard closed-incident CSVs.
     """
@@ -180,23 +175,32 @@ class FleetConfig:
             quantized=self.quantized,
         )
 
-    def shard_scores_path(self, shard: int) -> Optional[str]:
-        """Where shard ``shard`` appends its score CSV (or ``None``)."""
-        if self.scores_out is None:
-            return None
-        return f"{self.scores_out}.shard{shard:02d}"
+    def shard_spec(
+        self,
+        shard: int,
+        topology: Optional[FleetTopology] = None,
+        kill_after_ticks: Optional[int] = None,
+    ) -> SessionSpec:
+        """The session shard ``shard``'s worker serves.
 
-    def shard_warnings_path(self, shard: int) -> Optional[str]:
-        """Where shard ``shard`` appends its warning CSV (or ``None``)."""
-        if self.warnings_out is None:
-            return None
-        return f"{self.warnings_out}.shard{shard:02d}"
+        Its CSVs append to ``<base>.shardKK`` for each configured
+        output base; RCA attributes over ``topology``.
+        """
 
-    def shard_incidents_path(self, shard: int) -> Optional[str]:
-        """Where shard ``shard`` appends its incident CSV (or ``None``)."""
-        if self.incidents_out is None:
-            return None
-        return f"{self.incidents_out}.shard{shard:02d}"
+        def output(base: Optional[str]) -> Optional[str]:
+            return None if base is None else f"{base}.shard{shard:02d}"
+
+        return SessionSpec(
+            service=self.shard_config(shard),
+            shard=shard,
+            scores_path=output(self.scores_out),
+            warnings_path=output(self.warnings_out),
+            incidents_path=output(self.incidents_out),
+            kill_after_ticks=kill_after_ticks,
+            rca=self.rca,
+            topology=topology,
+            rca_gap=self.rca_gap,
+        )
 
 
 @dataclass(frozen=True)
@@ -243,44 +247,49 @@ class FleetDrainReport:
 
 
 def _replay_ring_journal(path: pathlib.Path) -> HashRing:
-    """Rebuild the ring from its membership-event journal."""
+    """Rebuild the ring from its membership-event journal.
+
+    Any line that is not a well-formed event (a torn tail included)
+    refuses the journal with a :class:`FleetError` naming the line.
+    """
     ring: Optional[HashRing] = None
     for line_no, line in enumerate(
         path.read_text().splitlines(), start=1
     ):
         if not line.strip():
             continue
-        event = json.loads(line)
-        kind = event.get("event")
-        if kind == _RING_INIT:
-            if ring is not None:
-                raise FleetError(
-                    f"{path}:{line_no}: duplicate ring init event"
+        where = f"{path}:{line_no}"
+        try:
+            event = json.loads(line)
+            kind = event.get("event")
+            if kind == _RING_INIT:
+                if ring is not None:
+                    raise FleetError(f"{where}: duplicate ring init event")
+                ring = HashRing(
+                    event["shards"], replicas=int(event["replicas"])
                 )
-            ring = HashRing(
-                event["shards"], replicas=int(event["replicas"])
-            )
-        elif kind == _RING_JOIN:
-            if ring is None:
-                raise FleetError(f"{path}:{line_no}: join before init")
-            ring.add(int(event["shard"]))
-        elif kind == _RING_LEAVE:
-            if ring is None:
-                raise FleetError(f"{path}:{line_no}: leave before init")
-            ring.remove(int(event["shard"]))
-        else:
+            elif kind in (_RING_JOIN, _RING_LEAVE):
+                if ring is None:
+                    raise FleetError(f"{where}: {kind} before init")
+                apply = ring.add if kind == _RING_JOIN else ring.remove
+                apply(int(event["shard"]))
+            else:
+                raise FleetError(f"{where}: unknown ring event {kind!r}")
+        except (AttributeError, KeyError, TypeError, ValueError) as error:
             raise FleetError(
-                f"{path}:{line_no}: unknown ring event {kind!r}"
-            )
+                f"{where}: malformed ring event ({error!r})"
+            ) from None
     if ring is None:
         raise FleetError(f"{path} holds no ring init event")
     return ring
 
 
 def _append_ring_event(path: pathlib.Path, event: Dict) -> None:
-    """Append one membership event to the ring journal."""
+    """Durably append one membership event to the ring journal."""
     with open(path, "a") as handle:
         handle.write(json.dumps(event, separators=(",", ":")) + "\n")
+        handle.flush()
+        os.fsync(handle.fileno())
 
 
 def load_ring(config: FleetConfig) -> HashRing:
@@ -348,240 +357,79 @@ def bootstrap_fleet(
 # -- the worker process ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _WorkerSpec:
-    """Everything a worker process needs, in picklable primitives."""
-
-    shard: int
-    data_dir: str
-    checkpoint_every: int
-    keep_releases: int
-    segment_bytes: int
-    fsync: bool
-    strict_order: bool
-    quantized: bool
-    scores_path: Optional[str]
-    warnings_path: Optional[str]
-    kill_after_ticks: Optional[int]
-    rca: bool = False
-    topology_path: Optional[str] = None
-    rca_gap: float = DEFAULT_CLUSTER_GAP
-    incidents_path: Optional[str] = None
-
-
-class _ShardTickWriter:
-    """Append-mode per-shard CSV sink, flushed per tick.
-
-    Rows lead with the shard id (tick sequences restart per shard, so
-    the shard column is what makes rows unique fleet-wide) and carry
-    scores as ``repr(float)`` — ``sort -u`` over the concatenated
-    shard files collapses replayed duplicates iff they are bitwise
-    identical, which is how the fleet-e2e CI job proves replay parity.
-    """
-
-    def __init__(
-        self,
-        shard: int,
-        scores_path: Optional[str],
-        warnings_path: Optional[str],
-        incidents_path: Optional[str] = None,
-    ) -> None:
-        self._shard = shard
-        self._scores = (
-            open(scores_path, "a", newline="") if scores_path else None
-        )
-        self._warnings = (
-            open(warnings_path, "a", newline="")
-            if warnings_path
-            else None
-        )
-        self._incidents = (
-            open(incidents_path, "a", newline="")
-            if incidents_path
-            else None
-        )
-
-    def write(self, results: Sequence[TickResult]) -> None:
-        """Append one row per score and per warning; flush."""
-        if self._scores is not None:
-            for result in results:
-                for i, score in enumerate(result.scores):
-                    self._scores.write(
-                        f"{self._shard},{result.tick},{i},"
-                        f"{float(score)!r},{int(result.kept[i])}\n"
-                    )
-            self._scores.flush()
-        if self._warnings is not None:
-            for result in results:
-                for w in result.warnings:
-                    self._warnings.write(
-                        f"{self._shard},{result.tick},{w.vpe},"
-                        f"{w.time!r},{w.first_anomaly!r},"
-                        f"{w.n_anomalies},{w.peak_score!r}\n"
-                    )
-            self._warnings.flush()
-
-    def write_incidents(
-        self, reports: Sequence[IncidentReport]
-    ) -> None:
-        """Append one shard-prefixed row per closed incident; flush."""
-        if self._incidents is None or not reports:
-            return
-        for report in reports:
-            self._incidents.write(
-                f"{self._shard},{incident_row(report)}"
-            )
-        self._incidents.flush()
-
-    def close(self) -> None:
-        """Release the underlying file handles."""
-        try:
-            if self._scores is not None:
-                self._scores.close()
-        finally:
-            try:
-                if self._warnings is not None:
-                    self._warnings.close()
-            finally:
-                if self._incidents is not None:
-                    self._incidents.close()
+def _send(conn: "connection.Connection", frame: Dict) -> None:
+    """Send one JSON control/ack frame."""
+    conn.send_bytes(json.dumps(frame, separators=(",", ":")).encode())
 
 
 def _worker_loop(
-    spec: _WorkerSpec,
+    spec: SessionSpec,
     conn: "connection.Connection",
     registry: "telemetry.MetricsRegistry",
 ) -> int:
-    """One worker's serve loop; returns its exit code."""
-    # Deliberately not closed on crash paths: the journaled WAL tail
-    # must stay on disk un-truncated so the respawned worker replays
-    # it bit-for-bit.  Only the "close" control frame closes cleanly.
-    service = MonitorService.open(  # repro: noqa[RPR601]
-        ServiceConfig(
-            data_dir=spec.data_dir,
-            checkpoint_every=spec.checkpoint_every,
-            keep_releases=spec.keep_releases,
-            segment_bytes=spec.segment_bytes,
-            fsync=spec.fsync,
-            strict_order=spec.strict_order,
-            quantized=spec.quantized,
-        )
-    )
-    if spec.rca:
-        topology = (
-            FleetTopology.load(spec.topology_path)
-            if spec.topology_path
-            else None
-        )
-        # Attached before recover(): checkpointed incidents restore
-        # and the replayed WAL tail rebuilds the identical per-shard
-        # incident stream.
-        service.rca = RcaEngine(
-            topology=topology, cluster_gap=spec.rca_gap
-        )
-    if spec.kill_after_ticks is not None:
-        survived = {"ticks": 0}
+    """One worker's serve loop over its session; returns its exit code.
 
-        def _kill(point: str, sequence: int) -> None:
-            if point != FAULT_AFTER_WAL_APPEND:
-                return
-            survived["ticks"] += 1
-            if survived["ticks"] >= spec.kill_after_ticks:
-                raise _ShardCrash(sequence)
-
-        service.fault_hook = _kill
-    writer = _ShardTickWriter(
-        spec.shard,
-        spec.scores_path,
-        spec.warnings_path,
-        spec.incidents_path,
-    )
-
-    def _drain_incidents() -> int:
-        if service.rca is None:
-            return 0
-        reports = service.rca.drain_closed()
-        writer.write_incidents(reports)
-        return len(reports)
-
+    A typed error (a held lock, an unreadable journal) goes to the
+    coordinator as an ``error`` frame and exits 2; the coordinator
+    reports it, so no worker traceback reaches the operator.
+    """
+    session: Optional[ServeSession] = None
     try:
+        session = ServeSession(spec)
         # Recovery is unconditional: a no-op on a fresh directory, a
         # bitwise-identical re-score of the journaled tail after a
-        # crash.  Replayed rows re-land in the CSV, where sort -u
-        # collapses them against the pre-crash rows.
-        report = service.recover()
-        writer.write(report.results)
-        _drain_incidents()
-        conn.send_bytes(
-            json.dumps(
-                {
-                    "kind": "hello",
-                    "shard": spec.shard,
-                    "n_messages": service.n_messages,
-                    "n_ticks": service.n_ticks,
-                    "ticks_replayed": report.ticks_replayed,
-                    "messages_replayed": report.messages_replayed,
-                },
-                separators=(",", ":"),
-            ).encode()
-        )
+        # crash.
+        report = session.recover()
+        service = session.service
+        _send(conn, {
+            "kind": "hello",
+            "n_messages": service.n_messages,
+            "ticks_replayed": report.ticks_replayed,
+        })
         while True:
             raw = conn.recv_bytes()
             if raw[:1] == _TICK_MAGIC_BYTE:
-                result = service.process_tick(decode_tick(raw))
-                writer.write([result])
-                n_incidents = _drain_incidents()
-                conn.send_bytes(
-                    json.dumps(
-                        {
-                            "kind": "ack",
-                            "shard": spec.shard,
-                            "tick": result.tick,
-                            "n_messages": service.n_messages,
-                            "n_scored": len(result.scores),
-                            "n_warnings": len(result.warnings),
-                            "n_incidents": n_incidents,
-                        },
-                        separators=(",", ":"),
-                    ).encode()
-                )
+                incidents = session.n_incidents
+                result = session.tick(decode_tick(raw))
+                _send(conn, {
+                    "kind": "ack",
+                    "n_messages": service.n_messages,
+                    "n_warnings": len(result.warnings),
+                    "n_incidents": session.n_incidents - incidents,
+                })
                 continue
             control = json.loads(raw.decode())
             if control.get("kind") == "close":
-                service.close()
-                # close() flushed any incidents still open.
-                _drain_incidents()
-                conn.send_bytes(
-                    json.dumps(
-                        {
-                            "kind": "closed",
-                            "shard": spec.shard,
-                            "n_ticks": service.n_ticks,
-                            "n_messages": service.n_messages,
-                            "telemetry": registry.snapshot(),
-                        },
-                        separators=(",", ":"),
-                    ).encode()
-                )
+                session.close()
+                _send(conn, {
+                    "kind": "closed",
+                    "shard": spec.shard,
+                    "n_ticks": service.n_ticks,
+                    "n_messages": service.n_messages,
+                    "telemetry": registry.snapshot(),
+                })
                 return 0
             raise FleetError(
                 f"shard {spec.shard}: unknown control frame "
                 f"{control.get('kind')!r}"
             )
-    except _ShardCrash:
-        # Simulated kill: no close(), no final checkpoint — restart
-        # must recover from the WAL exactly like a real crash.
+    except SimulatedCrash:
+        session.crash()
         return 3
     except EOFError:
         # Coordinator vanished mid-stream; die crash-like so the
         # journal tail replays on the next open.
+        session.crash()
         return 1
-    finally:
-        writer.close()
+    except SESSION_ERRORS as error:
+        if session is not None:
+            session.abandon()
+        _send(conn, {"kind": "error", "error": str(error)})
+        return 2
 
 
 def _worker_main(
-    spec: _WorkerSpec, conn: "connection.Connection"
+    spec: SessionSpec, conn: "connection.Connection"
 ) -> None:
     """Worker process entry point (top-level for spawn/fork)."""
     registry = telemetry.MetricsRegistry()
@@ -594,23 +442,17 @@ def _worker_main(
 # -- the coordinator ------------------------------------------------------
 
 
+@dataclass(eq=False)
 class _ShardHandle:
     """Coordinator-side state for one worker process."""
 
-    def __init__(
-        self,
-        shard: int,
-        process: "multiprocessing.process.BaseProcess",
-        conn: "connection.Connection",
-    ) -> None:
-        self.shard = shard
-        self.process = process
-        self.conn = conn
-        self.n_messages = 0
-        self.ticks_replayed = 0
-        self.inflight = 0
-        self.dead = False
-        self.exitcode: Optional[int] = None
+    shard: int
+    process: "multiprocessing.process.BaseProcess"
+    conn: "connection.Connection"
+    n_messages: int = 0
+    ticks_replayed: int = 0
+    inflight: int = 0
+    dead: bool = False
 
 
 class FleetCoordinator:
@@ -624,13 +466,19 @@ class FleetCoordinator:
     Attributes:
         config: the fleet topology/durability knobs.
         ring: the live consistent-hash ring.
+        topology: the fleet graph every worker's RCA engine
+            attributes over (``None`` without ``rca``/``topology_path``).
     """
 
     def __init__(
-        self, config: FleetConfig, ring: HashRing
+        self,
+        config: FleetConfig,
+        ring: HashRing,
+        topology: Optional[FleetTopology] = None,
     ) -> None:
         self.config = config
         self.ring = ring
+        self.topology = topology
         self._shards: Dict[int, _ShardHandle] = {}
         self._assign: Dict[str, int] = {}
         self._encoder = TickEncoder()
@@ -646,7 +494,8 @@ class FleetCoordinator:
         Every shard's artifact store must already hold a release (see
         :func:`bootstrap_fleet`).  When a ring journal exists, its
         membership wins over ``config.shards`` — a mismatch is an
-        operator error and raises :class:`FleetError`.
+        operator error and raises :class:`FleetError`.  The RCA
+        topology is read here, once, before any worker spawns.
         """
         pathlib.Path(config.data_dir).mkdir(
             parents=True, exist_ok=True
@@ -658,7 +507,10 @@ class FleetCoordinator:
                 f"{list(ring.shards)} but the fleet was opened with "
                 f"shards={config.shards}; pass the journaled count"
             )
-        coordinator = cls(config, ring)
+        topology = None
+        if config.rca and config.topology_path:
+            topology = FleetTopology.load(config.topology_path)
+        coordinator = cls(config, ring, topology)
         coordinator._lock.acquire()
         try:
             for shard in ring.shards:
@@ -678,23 +530,7 @@ class FleetCoordinator:
         kill_after = None
         if allow_kill and shard == self.config.kill_shard:
             kill_after = self.config.kill_after_ticks
-        spec = _WorkerSpec(
-            shard=shard,
-            data_dir=str(self.config.shard_dir(shard)),
-            checkpoint_every=self.config.checkpoint_every,
-            keep_releases=self.config.keep_releases,
-            segment_bytes=self.config.segment_bytes,
-            fsync=self.config.fsync,
-            strict_order=self.config.strict_order,
-            quantized=self.config.quantized,
-            scores_path=self.config.shard_scores_path(shard),
-            warnings_path=self.config.shard_warnings_path(shard),
-            kill_after_ticks=kill_after,
-            rca=self.config.rca,
-            topology_path=self.config.topology_path,
-            rca_gap=self.config.rca_gap,
-            incidents_path=self.config.shard_incidents_path(shard),
-        )
+        spec = self.config.shard_spec(shard, self.topology, kill_after)
         context = multiprocessing.get_context()
         parent_conn, child_conn = context.Pipe(duplex=True)
         process = context.Process(
@@ -713,11 +549,15 @@ class FleetCoordinator:
 
     def _await_hello(self, handle: _ShardHandle) -> None:
         """Block until ``handle``'s worker reports its cursor."""
-        message = self._recv(handle)
-        if message is None or message.get("kind") != "hello":
+        message = self._recv(handle) or {}
+        if message.get("kind") != "hello":
+            # A typed startup error arrives as an error frame; anything
+            # else only leaves the worker's exit code.
+            reason = message.get("error") or (
+                f"exit {handle.process.exitcode}"
+            )
             raise FleetError(
-                f"shard {handle.shard} failed to start (exit "
-                f"{handle.process.exitcode})"
+                f"shard {handle.shard} failed to start: {reason}"
             )
         handle.n_messages = int(message["n_messages"])
         handle.ticks_replayed = int(message["ticks_replayed"])
@@ -748,9 +588,11 @@ class FleetCoordinator:
         handle.dead = True
         handle.inflight = 0
         handle.process.join(timeout=self.config.poll_timeout)
-        handle.exitcode = handle.process.exitcode
         handle.conn.close()
         telemetry.counter("fleet.shard_deaths").inc()
+        self._publish_live_shards()
+
+    def _publish_live_shards(self) -> None:
         telemetry.gauge("fleet.shards").set(
             sum(1 for h in self._shards.values() if not h.dead)
         )
@@ -782,10 +624,6 @@ class FleetCoordinator:
                 k for k, h in self._shards.items() if h.dead
             )
         )
-
-    def shard_cursor(self, shard: int) -> int:
-        """Shard ``shard``'s acknowledged lifetime message count."""
-        return self._shards[shard].n_messages
 
     # -- routing --------------------------------------------------------
 
@@ -828,9 +666,7 @@ class FleetCoordinator:
         self._assign.clear()
         handle = self._spawn(shard)
         self._await_hello(handle)
-        telemetry.gauge("fleet.shards").set(
-            sum(1 for h in self._shards.values() if not h.dead)
-        )
+        self._publish_live_shards()
 
     def remove_shard(self, shard: int) -> None:
         """Journal a leave, close that worker, shrink the ring."""
@@ -846,9 +682,7 @@ class FleetCoordinator:
         self.ring.remove(shard)
         self._assign.clear()
         del self._shards[shard]
-        telemetry.gauge("fleet.shards").set(
-            sum(1 for h in self._shards.values() if not h.dead)
-        )
+        self._publish_live_shards()
 
     def restart_shard(self, shard: int) -> int:
         """Respawn a dead shard's worker; returns its replayed ticks.
@@ -870,9 +704,7 @@ class FleetCoordinator:
         # recovers and serves, it does not crash again.
         fresh = self._spawn(shard, allow_kill=False)
         self._await_hello(fresh)
-        telemetry.gauge("fleet.shards").set(
-            sum(1 for h in self._shards.values() if not h.dead)
-        )
+        self._publish_live_shards()
         return fresh.ticks_replayed
 
     # -- ingest ---------------------------------------------------------
@@ -903,7 +735,7 @@ class FleetCoordinator:
         reopened fleet never re-sends applied work.  Up to
         ``config.max_inflight`` ticks ride each pipe unacknowledged;
         under ``adaptive`` sizing a per-shard
-        :class:`~repro.core.online.AdaptiveTicker` is fed the shard's
+        :class:`~repro.runtime.session.AdaptiveTicker` is fed the shard's
         remaining backlog after every ack.  A worker death never
         stalls the survivors: the dead shard keeps its backlog (see
         :meth:`restart_shard`) and is reported in the result.
@@ -930,13 +762,7 @@ class FleetCoordinator:
             sent[shard] = acked[shard] = warnings[shard] = 0
             incidents[shard] = 0
             tickers[shard] = (
-                AdaptiveTicker(
-                    initial=tick_size,
-                    min_size=min(64, tick_size),
-                    max_size=max(8192, tick_size),
-                )
-                if adaptive
-                else None
+                adaptive_ticker(tick_size) if adaptive else None
             )
         total_sent = 0
         started = time.perf_counter()
@@ -1022,26 +848,22 @@ class FleetCoordinator:
                     f"fleet.shard{shard:02d}.backlog"
                 ).set(backlog)
         seconds = time.perf_counter() - started
-        per_shard = {}
-        total_messages = total_ticks = total_warnings = 0
-        total_incidents = 0
-        for shard in self.ring.shards:
-            handle = self._shards[shard]
-            messages = handle.n_messages - start_messages[shard]
-            per_shard[shard] = ShardDrain(
+        per_shard = {
+            shard: ShardDrain(
                 shard=shard,
                 sent_ticks=sent[shard],
                 acked_ticks=acked[shard],
-                messages=messages,
+                messages=self._shards[shard].n_messages
+                - start_messages[shard],
                 warnings=warnings[shard],
                 backlog=len(parts[shard]) - offsets[shard],
-                dead=handle.dead,
+                dead=self._shards[shard].dead,
                 incidents=incidents[shard],
             )
-            total_messages += messages
-            total_ticks += acked[shard]
-            total_warnings += warnings[shard]
-            total_incidents += incidents[shard]
+            for shard in self.ring.shards
+        }
+        total_messages = sum(s.messages for s in per_shard.values())
+        total_ticks = sum(acked.values())
         rate = total_messages / seconds if seconds > 0 else 0.0
         registry = telemetry.default_registry()
         registry.counter("fleet.ticks_routed").inc(total_ticks)
@@ -1050,12 +872,12 @@ class FleetCoordinator:
         return FleetDrainReport(
             ticks=total_ticks,
             messages=total_messages,
-            warnings=total_warnings,
+            warnings=sum(warnings.values()),
             seconds=seconds,
             msgs_per_s=rate,
             dead_shards=self.dead_shards,
             per_shard=per_shard,
-            incidents=total_incidents,
+            incidents=sum(incidents.values()),
         )
 
     # -- shutdown -------------------------------------------------------
@@ -1063,11 +885,7 @@ class FleetCoordinator:
     def _close_worker(self, handle: _ShardHandle) -> Optional[Dict]:
         """Gracefully stop one worker; returns its closed frame."""
         try:
-            handle.conn.send_bytes(
-                json.dumps(
-                    {"kind": "close"}, separators=(",", ":")
-                ).encode()
-            )
+            _send(handle.conn, {"kind": "close"})
         except (BrokenPipeError, OSError):
             self._mark_dead(handle)
             return None
@@ -1087,7 +905,6 @@ class FleetCoordinator:
                 f"{message.get('kind')!r} frame during close"
             )
         handle.process.join(timeout=self.config.poll_timeout)
-        handle.exitcode = handle.process.exitcode
         handle.conn.close()
         return message
 

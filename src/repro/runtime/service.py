@@ -32,7 +32,7 @@ from __future__ import annotations
 import io
 import json
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -49,16 +49,8 @@ import numpy as np
 from repro import telemetry
 from repro.core.adaptation import transfer_adapt
 from repro.core.detector import LSTMAnomalyDetector
-from repro.core.online import (
-    AdaptiveTicker,
-    OnlineMonitor,
-    WarningSignature,
-)
-from repro.logs.message import (
-    SyslogMessage,
-    message_from_row,
-    message_to_row,
-)
+from repro.core.online import OnlineMonitor, WarningSignature
+from repro.logs.message import SyslogMessage
 from repro.logs.persistence import store_from_json, store_to_json
 from repro.runtime.checkpoint import (
     read_checkpoint,
@@ -72,9 +64,10 @@ from repro.runtime.wal import DEFAULT_SEGMENT_BYTES, WriteAheadLog
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.rca import RcaEngine
     from repro.runtime.adapt import AdaptationController
+    from repro.runtime.session import AdaptiveTicker
 
-#: Journal payload kinds: one ingested tick, or one model swap.
-_KIND_TICK = "tick"
+#: Kind of the journal's JSON control record: one model swap (ticks
+#: are binary records, see :mod:`repro.runtime.codec`).
 _KIND_SWAP = "swap"
 
 #: Fault-injection points passed to :attr:`MonitorService.fault_hook`.
@@ -83,25 +76,6 @@ FAULT_BEFORE_CHECKPOINT = "before-checkpoint"
 
 #: Leading byte of a binary tick record (see :mod:`repro.runtime.codec`).
 _TICK_MAGIC_BYTE = bytes([TICK_MAGIC])
-
-
-def tick_payload(messages: "Sequence[SyslogMessage]") -> bytes:
-    """The *legacy* JSON journal payload for one ingested tick.
-
-    New ticks are journaled through the arena-backed binary codec
-    (:class:`repro.runtime.codec.TickEncoder`); this JSON form is kept
-    so journals written by earlier releases still replay, and as the
-    baseline the runtime benchmark compares the arena encoder against.
-    """
-    return json.dumps(
-        {
-            "kind": _KIND_TICK,
-            "messages": [
-                message_to_row(message) for message in messages
-            ],
-        },
-        separators=(",", ":"),
-    ).encode()
 
 
 class ServiceError(RuntimeError):
@@ -331,13 +305,7 @@ class MonitorService:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def open(
-        cls,
-        config: ServiceConfig,
-        cluster_min_size: int = 2,
-        cluster_max_gap: Optional[float] = None,
-        cooldown: Optional[float] = None,
-    ) -> "MonitorService":
+    def open(cls, config: ServiceConfig) -> "MonitorService":
         """Open a service on the store's current release.
 
         The store must hold at least one release (see
@@ -354,18 +322,11 @@ class MonitorService:
                 "with stage_release() before opening the service"
             )
         detector, threshold = detector_from_release(store, current)
-        kwargs: Dict[str, object] = {}
-        if cluster_max_gap is not None:
-            kwargs["cluster_max_gap"] = cluster_max_gap
-        if cooldown is not None:
-            kwargs["cooldown"] = cooldown
         monitor = OnlineMonitor(
             detector,
             threshold=threshold,
-            cluster_min_size=cluster_min_size,
             strict_order=config.strict_order,
             quantized=config.quantized,
-            **kwargs,
         )
         return cls(config, monitor, store, current)
 
@@ -441,9 +402,8 @@ class MonitorService:
         for record in self.wal.replay(after=self.cursor):
             records += 1
             raw_payload = record.payload
-            # Binary tick records lead with TICK_MAGIC; everything
-            # else (legacy ticks, swap control records) is JSON and
-            # leads with '{'.
+            # Tick records lead with TICK_MAGIC; swap control records
+            # are JSON and lead with '{'.
             if raw_payload[:1] == _TICK_MAGIC_BYTE:
                 batch = decode_tick(raw_payload)
                 result = self._score_tick(record.sequence, batch)
@@ -454,35 +414,23 @@ class MonitorService:
                 messages += len(batch)
             elif raw_payload[:1] == b"{":
                 payload = json.loads(raw_payload.decode())
-                if payload["kind"] == _KIND_SWAP:
-                    previous = self.active_release
-                    self._load_release(int(payload["release"]))
-                    if self.controller is not None:
-                        self.controller.on_swap_applied(
-                            self, self.active_release, previous
-                        )
-                    if self.pending_release == self.active_release:
-                        # The checkpointed staged swap landed in the
-                        # journal before the crash; don't re-stage it.
-                        self.pending_release = None
-                    swaps += 1
-                elif payload["kind"] == _KIND_TICK:
-                    batch = [
-                        message_from_row(raw)
-                        for raw in payload["messages"]
-                    ]
-                    result = self._score_tick(record.sequence, batch)
-                    results.append(result)
-                    if self.controller is not None:
-                        self.controller.after_tick(self, batch, result)
-                    ticks += 1
-                    messages += len(batch)
-                else:
+                if payload["kind"] != _KIND_SWAP:
                     raise ServiceError(
                         "unknown journal record kind "
                         f"{payload['kind']!r} at sequence "
                         f"{record.sequence}"
                     )
+                previous = self.active_release
+                self._load_release(int(payload["release"]))
+                if self.controller is not None:
+                    self.controller.on_swap_applied(
+                        self, self.active_release, previous
+                    )
+                if self.pending_release == self.active_release:
+                    # The checkpointed staged swap landed in the
+                    # journal before the crash; don't re-stage it.
+                    self.pending_release = None
+                swaps += 1
             else:
                 raise ServiceError(
                     f"unrecognized journal record at sequence "
@@ -570,55 +518,40 @@ class MonitorService:
         if self.n_ticks % self.config.checkpoint_every == 0:
             self.checkpoint_now()
         if swapped is not None:
-            result = TickResult(
-                tick=result.tick,
-                scores=result.scores,
-                kept=result.kept,
-                warnings=result.warnings,
-                swapped_release=swapped,
-            )
+            result = replace(result, swapped_release=swapped)
         return result
 
     def drain(
         self,
         feed: Sequence[SyslogMessage],
         tick_size: int = 256,
-        ticker: Optional[AdaptiveTicker] = None,
+        ticker: Optional["AdaptiveTicker"] = None,
         max_ticks: Optional[int] = None,
     ) -> "Iterator[TickResult]":
         """Process a feed tick by tick, resuming past applied work.
 
-        With a fixed ``tick_size`` the feed position is
-        ``n_ticks * tick_size`` (every prior tick had the same size,
-        so the arithmetic is exact across restarts).  With a
-        ``ticker`` the tick sizes vary, so resumption uses the
-        persisted :attr:`n_messages` message cursor instead; the
-        ticker is fed the remaining backlog after every tick.
-        Yields one :class:`TickResult` per processed tick, stopping
-        after ``max_ticks`` of them when given.
+        The feed resumes at the persisted :attr:`n_messages` cursor,
+        which stays exact across restarts whatever sizes earlier ticks
+        had.  Ticks hold ``tick_size`` messages, or, with a
+        ``ticker``, its current size; the ticker is fed the remaining
+        backlog after every tick.  Yields one :class:`TickResult` per
+        processed tick, stopping after ``max_ticks`` of them when
+        given.
         """
         if tick_size < 1:
             raise ValueError("tick_size must be >= 1")
-        yielded = 0
-        if ticker is None:
-            start = self.n_ticks * tick_size
-            for offset in range(start, len(feed), tick_size):
-                if max_ticks is not None and yielded >= max_ticks:
-                    return
-                yield self.process_tick(
-                    feed[offset:offset + tick_size]
-                )
-                yielded += 1
-            return
         offset = self.n_messages
+        yielded = 0
         while offset < len(feed):
             if max_ticks is not None and yielded >= max_ticks:
                 return
-            batch = feed[offset:offset + ticker.size]
+            size = tick_size if ticker is None else ticker.size
+            batch = feed[offset:offset + size]
             yield self.process_tick(batch)
             yielded += 1
             offset += len(batch)
-            ticker.update(len(feed) - offset)
+            if ticker is not None:
+                ticker.update(len(feed) - offset)
 
     def _ensure_activation_record(self) -> None:
         """Journal which release a brand-new journal starts under.
@@ -794,7 +727,6 @@ class MonitorService:
 __all__ = [
     "FAULT_AFTER_WAL_APPEND",
     "FAULT_BEFORE_CHECKPOINT",
-    "AdaptiveTicker",
     "MonitorService",
     "ReplayReport",
     "ServiceConfig",
@@ -803,5 +735,4 @@ __all__ = [
     "detector_from_release",
     "release_config",
     "stage_release",
-    "tick_payload",
 ]

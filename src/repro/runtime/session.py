@@ -1,0 +1,385 @@
+"""One shard's serve lifecycle, shared by ``serve`` and fleet workers.
+
+The paper's runtime is one loop: syslog in, per-device scores and
+clustered warnings out.  :class:`ServeSession` is that loop around one
+:class:`~repro.runtime.service.MonitorService`, with its RCA engine,
+crash drill and CSV sinks.  Single-shard ``serve`` runs one session
+in-process; every fleet worker runs one behind the pipe protocol
+(:mod:`repro.runtime.fleet`).
+"""
+
+from __future__ import annotations
+
+import contextlib
+import itertools
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, TextIO
+
+from repro import telemetry
+from repro.logs.message import SyslogMessage
+from repro.rca import DEFAULT_CLUSTER_GAP, IncidentReport, RcaEngine, incident_row
+from repro.runtime.lock import LockHeldError
+from repro.runtime.service import (
+    FAULT_AFTER_WAL_APPEND,
+    MonitorService,
+    ReplayReport,
+    ServiceConfig,
+    ServiceError,
+    TickResult,
+)
+from repro.runtime.store import StoreError
+from repro.runtime.wal import WalCorruptionError
+from repro.topology import FleetTopology, TopologyError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.runtime.adapt import AdaptationController
+
+#: Operator-facing errors a session can raise on bad state or input:
+#: ``serve`` reports them in one line and exits 2, and a fleet worker
+#: forwards them to its coordinator as an ``error`` frame.
+SESSION_ERRORS = (
+    ServiceError, StoreError, WalCorruptionError, LockHeldError, TopologyError,
+)
+
+
+class SimulatedCrash(Exception):
+    """Raised by the ``kill_after_ticks`` drill hook (exit code 3)."""
+
+
+class AdaptiveTicker:
+    """Backpressure-driven tick sizing for stream drains.
+
+    The fused forward amortizes better over large ticks, but a large
+    tick also means a large backlog holds warnings back longer.  The
+    ticker watches the backlog-to-tick ratio after every drained tick
+    and resizes with hysteresis: only ``hysteresis`` *consecutive*
+    readings beyond a watermark trigger a resize, so one bursty tick
+    cannot thrash the size.  Growth and shrink are both a factor of
+    two, clamped to ``[min_size, max_size]``.
+
+    The live size is published to the ``stream.tick_size`` gauge after
+    every update, so operators can watch the loop adapt.
+    """
+
+    def __init__(
+        self,
+        initial: int = 1024,
+        min_size: int = 64,
+        max_size: int = 8192,
+        low_watermark: float = 0.5,
+        high_watermark: float = 2.0,
+        hysteresis: int = 3,
+    ) -> None:
+        if min_size < 1 or max_size < min_size:
+            raise ValueError(
+                "need 1 <= min_size <= max_size, got "
+                f"[{min_size}, {max_size}]"
+            )
+        if not min_size <= initial <= max_size:
+            raise ValueError(
+                f"initial {initial} outside [{min_size}, {max_size}]"
+            )
+        if not 0 <= low_watermark < high_watermark:
+            raise ValueError(
+                "need 0 <= low_watermark < high_watermark, got "
+                f"[{low_watermark}, {high_watermark}]"
+            )
+        if hysteresis < 1:
+            raise ValueError("hysteresis must be >= 1")
+        self.size = initial
+        self.min_size = min_size
+        self.max_size = max_size
+        self.low_watermark = low_watermark
+        self.high_watermark = high_watermark
+        self.hysteresis = hysteresis
+        self._over = 0
+        self._under = 0
+
+    def update(self, backlog: int) -> int:
+        """Feed the post-tick backlog; return the (possibly new) size.
+
+        ``backlog`` is the number of messages still waiting after the
+        tick that just drained.  A backlog persistently above
+        ``high_watermark`` ticks means the drain is falling behind —
+        grow the tick to amortize the forward pass over more messages.
+        A backlog persistently below ``low_watermark`` ticks means the
+        loop is keeping up — shrink to tighten warning latency.
+        """
+        if backlog < 0:
+            raise ValueError(f"negative backlog: {backlog}")
+        ratio = backlog / self.size
+        if ratio >= self.high_watermark:
+            self._over += 1
+            self._under = 0
+            if self._over >= self.hysteresis:
+                self.size = min(self.size * 2, self.max_size)
+                self._over = 0
+        elif ratio <= self.low_watermark:
+            self._under += 1
+            self._over = 0
+            if self._under >= self.hysteresis:
+                self.size = max(self.size // 2, self.min_size)
+                self._under = 0
+        else:
+            self._over = 0
+            self._under = 0
+        telemetry.default_registry().gauge("stream.tick_size").set(
+            self.size
+        )
+        return self.size
+
+
+def adaptive_ticker(tick_size: int) -> AdaptiveTicker:
+    """The serve loop's ticker under ``--adaptive-tick``.
+
+    Starts at ``tick_size`` and resizes within
+    ``[min(64, tick_size), max(8192, tick_size)]``.
+    """
+    return AdaptiveTicker(
+        initial=tick_size,
+        min_size=min(64, tick_size),
+        max_size=max(8192, tick_size),
+    )
+
+
+@dataclass(frozen=True)
+class SessionSpec:
+    """Everything one :class:`ServeSession` needs; no live handles, so
+    a fleet coordinator hands one to each worker as its spawn argument.
+
+    Attributes:
+        service: the shard's durability knobs.
+        shard: the shard id.  When set, every CSV row leads with
+            ``<shard>,``: tick sequences restart per shard, so that
+            column is what makes rows unique fleet-wide.
+        scores_path: score CSV to append to (``None`` disables); so
+            are ``warnings_path`` and, with ``rca``, ``incidents_path``.
+        kill_after_ticks: crash drill: raise :class:`SimulatedCrash`
+            after this many journaled ticks.
+        rca: attach a streaming root-cause engine over ``topology``
+            (``None``: per-device incidents), closing incidents after
+            ``rca_gap`` quiet stream seconds.
+    """
+
+    service: ServiceConfig
+    shard: Optional[int] = None
+    scores_path: Optional[str] = None
+    warnings_path: Optional[str] = None
+    incidents_path: Optional[str] = None
+    kill_after_ticks: Optional[int] = None
+    rca: bool = False
+    topology: Optional[FleetTopology] = None
+    rca_gap: float = DEFAULT_CLUSTER_GAP
+
+
+class _TickSink:
+    """Append-mode CSV sinks for one session, flushed per tick.
+
+    Floats are written as ``repr(float)`` so the rows round-trip the
+    float64 bit patterns: ``sort -u`` over a crashed-then-replayed
+    run's output collapses replayed duplicates iff they are bitwise
+    identical to the pre-crash rows, which is how the crash drills
+    prove replay parity.
+    """
+
+    def __init__(self, spec: SessionSpec) -> None:
+        self._prefix = "" if spec.shard is None else f"{spec.shard},"
+        self._files = contextlib.ExitStack()
+        self._scores = self._open(spec.scores_path)
+        self._warnings = self._open(spec.warnings_path)
+        self._incidents = self._open(
+            spec.incidents_path if spec.rca else None
+        )
+
+    def _open(self, path: Optional[str]) -> Optional[TextIO]:
+        if path is None:
+            return None
+        return self._files.enter_context(open(path, "a", newline=""))
+
+    def write(self, results: Sequence[TickResult]) -> None:
+        """Append one row per score and per warning; flush."""
+        prefix = self._prefix
+        if self._scores is not None:
+            for result in results:
+                for i, score in enumerate(result.scores):
+                    self._scores.write(
+                        f"{prefix}{result.tick},{i},"
+                        f"{float(score)!r},{int(result.kept[i])}\n"
+                    )
+            self._scores.flush()
+        if self._warnings is not None:
+            for result in results:
+                for w in result.warnings:
+                    self._warnings.write(
+                        f"{prefix}{result.tick},{w.vpe},"
+                        f"{w.time!r},{w.first_anomaly!r},"
+                        f"{w.n_anomalies},{w.peak_score!r}\n"
+                    )
+            self._warnings.flush()
+
+    def write_incidents(self, reports: Sequence[IncidentReport]) -> None:
+        """Append one row per closed incident; flush."""
+        if self._incidents is None or not reports:
+            return
+        for report in reports:
+            self._incidents.write(f"{self._prefix}{incident_row(report)}")
+        self._incidents.flush()
+
+    def close(self) -> None:
+        """Release every open file (idempotent)."""
+        self._files.close()
+
+
+def _kill_after(ticks: int) -> Callable[[str, int], None]:
+    """A fault hook that crashes on the ``ticks``-th journaled tick."""
+    journaled = itertools.count(1)
+
+    def hook(point: str, sequence: int) -> None:
+        if point == FAULT_AFTER_WAL_APPEND and next(journaled) >= ticks:
+            raise SimulatedCrash(sequence)
+
+    return hook
+
+
+class ServeSession:
+    """One shard's serve lifecycle over an open :class:`MonitorService`.
+
+    Construction opens the service (taking its owner lock) and
+    attaches the RCA engine, the optional drift-adaptation controller
+    and the drill hook.  :meth:`recover`, :meth:`tick` and
+    :meth:`drain` append every outcome to the sinks and drain newly
+    closed incidents.  End with exactly one of :meth:`close`
+    (checkpoint), :meth:`crash` (sinks only: the WAL tail stays for
+    replay) or :meth:`abandon` (files released, no checkpoint).
+
+    Attributes:
+        spec: what this session serves and where it writes.
+        service: the open service.
+        n_warnings: warnings written this run, replayed ones included.
+        n_incidents: incidents written this run, replayed ones
+            included.
+    """
+
+    def __init__(
+        self,
+        spec: SessionSpec,
+        controller: Optional["AdaptationController"] = None,
+    ) -> None:
+        self.spec = spec
+        rca = None
+        if spec.rca:
+            rca = RcaEngine(topology=spec.topology, cluster_gap=spec.rca_gap)
+        self._sink = _TickSink(spec)
+        try:
+            # Never closed on the crash path: a dead process writes no
+            # final checkpoint, so the next open replays the WAL tail.
+            self.service = MonitorService.open(spec.service)
+        except BaseException:
+            self._sink.close()
+            raise
+        # Attached before recover(): WAL replay rebuilds the
+        # controller's drift windows and probation state, and
+        # checkpointed incidents restore before replayed ticks rebuild
+        # the identical incident stream.
+        self.service.controller = controller
+        self.service.rca = rca
+        if spec.kill_after_ticks is not None:
+            self.service.fault_hook = _kill_after(spec.kill_after_ticks)
+        self.n_warnings = 0
+        self.n_incidents = 0
+
+    @property
+    def has_state(self) -> bool:
+        """Whether the data dir holds a checkpoint or journal to replay."""
+        return (
+            self.spec.service.checkpoint_path.exists()
+            or self.service.wal.last_sequence > 0
+        )
+
+    def recover(self) -> ReplayReport:
+        """Restore the checkpoint and replay the WAL tail; replayed rows
+        re-land in the sinks, where ``sort -u`` collapses them."""
+        report = self.service.recover()
+        self._emit(report.results)
+        return report
+
+    def tick(self, messages: Sequence[SyslogMessage]) -> TickResult:
+        """Journal, score and write one tick."""
+        result = self.service.process_tick(messages)
+        self._emit([result])
+        return result
+
+    def drain(
+        self,
+        feed: Sequence[SyslogMessage],
+        tick_size: int,
+        adaptive: bool = False,
+        max_ticks: Optional[int] = None,
+    ) -> int:
+        """Serve a feed from the service's message cursor (see
+        :meth:`MonitorService.drain`); returns the live ticks served."""
+        ticker = adaptive_ticker(tick_size) if adaptive else None
+        ticks = 0
+        for result in self.service.drain(
+            feed, tick_size=tick_size, ticker=ticker, max_ticks=max_ticks
+        ):
+            self._emit([result])
+            ticks += 1
+        return ticks
+
+    def rollback(self) -> int:
+        """Roll the live model back one release; returns its id.
+
+        Recovers first, so the journaled swap lands after every applied
+        record; :meth:`close` then checkpoints it.
+        """
+        if self.has_state:
+            self.recover()
+        return self.service.rollback()
+
+    def close(self) -> None:
+        """Graceful shutdown: final checkpoint, then the last incidents."""
+        try:
+            self.service.close()
+            # close() flushed the incidents still open at shutdown.
+            self._drain_incidents()
+        finally:
+            self._sink.close()
+
+    def crash(self) -> None:
+        """End like a crashed process: close the sinks, not the service."""
+        self._sink.close()
+
+    def abandon(self) -> None:
+        """Release the WAL handle and owner lock without the checkpoint
+        :meth:`close` would write over state this run refused or failed
+        to apply."""
+        try:
+            try:
+                self.service.wal.close()
+            finally:
+                self.service.lock.release()
+        finally:
+            self._sink.close()
+
+    def _emit(self, results: Sequence[TickResult]) -> None:
+        self._sink.write(results)
+        self.n_warnings += sum(len(r.warnings) for r in results)
+        self._drain_incidents()
+
+    def _drain_incidents(self) -> None:
+        if self.service.rca is None:
+            return
+        reports = self.service.rca.drain_closed()
+        self._sink.write_incidents(reports)
+        self.n_incidents += len(reports)
+
+
+__all__ = [
+    "SESSION_ERRORS",
+    "AdaptiveTicker",
+    "ServeSession",
+    "SessionSpec",
+    "SimulatedCrash",
+    "adaptive_ticker",
+]

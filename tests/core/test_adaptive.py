@@ -1,18 +1,17 @@
-"""Tests for repro.core.online.AdaptiveTicker (backpressure sizing).
+"""Tests for repro.runtime.session.AdaptiveTicker (backpressure sizing).
 
 The ticker only resizes after ``hysteresis`` *consecutive* readings
 beyond a watermark — one bursty tick must not thrash the size — and
 always publishes the live size to the ``stream.tick_size`` gauge.
+Bitwise adaptive-vs-fixed score parity is pinned where the ticker is
+used, by ``test_adaptive_drain_matches_fixed_scores`` in
+``tests/runtime/test_service.py``.
 """
 
-import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.core.detector import LSTMAnomalyDetector
-from repro.core.online import AdaptiveTicker, OnlineMonitor
-from repro.logs.templates import TemplateStore
-from tests.core.test_online import cyclic_stream
+from repro.runtime.session import AdaptiveTicker, adaptive_ticker
 
 
 class TestResizing:
@@ -90,47 +89,15 @@ class TestValidation:
             AdaptiveTicker().update(-1)
 
 
-@pytest.fixture(scope="module")
-def detector():
-    train = cyclic_stream()
-    store = TemplateStore().fit(train)
-    return LSTMAnomalyDetector(
-        store,
-        vocabulary_capacity=16,
-        window=4,
-        hidden=(12, 12),
-        id_dim=8,
-        epochs=2,
-        oversample_rounds=0,
-        seed=0,
-    ).fit(train)
-
-
-class TestMonitorIntegration:
-    def test_adaptive_run_scores_identically_to_fixed(self, detector):
-        """Tick boundaries must not change scores (bitwise parity)."""
-        stream = cyclic_stream(500)
-        fixed = OnlineMonitor(detector, threshold=float("inf"))
-        fixed.run(stream, tick_size=97)
-        adaptive = OnlineMonitor(detector, threshold=float("inf"))
-        adaptive.run(
-            stream,
-            ticker=AdaptiveTicker(
-                initial=64, min_size=16, max_size=256, hysteresis=1
-            ),
-        )
-        assert adaptive.n_observed == fixed.n_observed == 500
-        assert np.array_equal(
-            np.asarray(adaptive.scorer.state_dict()["fill"]),
-            np.asarray(fixed.scorer.state_dict()["fill"]),
+class TestServeBounds:
+    def test_serve_ticker_bounds(self):
+        ticker = adaptive_ticker(256)
+        assert (ticker.size, ticker.min_size, ticker.max_size) == (
+            256, 64, 8192,
         )
 
-    def test_adaptive_run_consumes_every_message(self, detector):
-        stream = cyclic_stream(333)
-        monitor = OnlineMonitor(detector, threshold=float("inf"))
-        ticker = AdaptiveTicker(
-            initial=16, min_size=16, max_size=64, hysteresis=1
-        )
-        monitor.run(stream, ticker=ticker)
-        assert monitor.n_observed == 333
-        assert ticker.size == 16  # backlog hit zero: shrunk to floor
+    def test_bounds_stretch_to_cover_the_tick_size(self):
+        small = adaptive_ticker(16)
+        assert (small.min_size, small.max_size) == (16, 8192)
+        large = adaptive_ticker(10_000)
+        assert (large.min_size, large.max_size) == (64, 10_000)

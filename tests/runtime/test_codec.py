@@ -3,8 +3,8 @@
 The encoder writes into a persistent arena, so alongside the usual
 roundtrip/validation cases the suite pins the two properties the
 service depends on: re-encoding does not disturb a previously returned
-payload *once copied into the WAL*, and the service can still replay
-journals whose records are legacy JSON.
+payload *once copied into the WAL*, and a JSON swap record in the same
+journal is never mistaken for a tick.
 """
 
 import json
@@ -118,7 +118,7 @@ class TestValidation:
 
 class TestLegacyJson:
     def test_json_records_are_not_mistaken_for_ticks(self):
-        legacy = json.dumps({"kind": "tick", "messages": []}).encode()
-        assert legacy[:1] == b"{"
+        swap = json.dumps({"kind": "swap", "release": 1}).encode()
+        assert swap[:1] == b"{"
         with pytest.raises(ValueError, match="magic"):
-            decode_tick(legacy)
+            decode_tick(swap)

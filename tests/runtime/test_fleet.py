@@ -113,8 +113,11 @@ class TestFleetConfig:
             data_dir=tmp_path, scores_out=str(tmp_path / "s.csv")
         )
         assert config.shard_dir(7).name == "shard-07"
-        assert config.shard_scores_path(7).endswith("s.csv.shard07")
-        assert config.shard_warnings_path(7) is None
+        spec = config.shard_spec(7)
+        assert spec.shard == 7
+        assert spec.service.data_dir == config.shard_dir(7)
+        assert spec.scores_path.endswith("s.csv.shard07")
+        assert spec.warnings_path is None
 
 
 class TestRingJournal:
@@ -157,6 +160,20 @@ class TestRingJournal:
             (['{"event":"leave","shard":1}'], "leave before init"),
             (['{"event":"what"}'], "unknown ring event"),
             ([], "no ring init"),
+            (
+                [
+                    '{"event":"init","shards":[0],"replicas":4}',
+                    '{"event":"jo',
+                ],
+                r"ring\.jsonl:2: malformed ring event",
+            ),
+            (
+                [
+                    '{"event":"init","shards":[0],"replicas":4}',
+                    '{"event":"join"}',
+                ],
+                "malformed ring event",
+            ),
         ],
     )
     def test_corrupt_journal_refused(self, tmp_path, lines, match):
@@ -182,7 +199,9 @@ class TestOpenClose:
     def test_open_without_bootstrap_aborts_cleanly(self, tmp_path):
         config = FleetConfig(data_dir=tmp_path / "cold", shards=2)
         with telemetry.use(telemetry.MetricsRegistry()):
-            with pytest.raises(FleetError, match="failed to start"):
+            with pytest.raises(
+                FleetError, match="failed to start: .*holds no release"
+            ):
                 FleetCoordinator.open(config)
         # the failed open must not leave its lock behind
         assert not config.lock_path.exists()

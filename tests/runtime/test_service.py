@@ -17,13 +17,13 @@ from repro.logs.templates import TemplateStore
 from repro.runtime.service import (
     FAULT_AFTER_WAL_APPEND,
     FAULT_BEFORE_CHECKPOINT,
-    AdaptiveTicker,
     MonitorService,
     ServiceConfig,
     ServiceError,
     detector_from_release,
     stage_release,
 )
+from repro.runtime.session import AdaptiveTicker
 from repro.runtime.store import ArtifactStore
 from repro.timeutil import TRACE_START
 from tests.conftest import make_message
@@ -483,64 +483,34 @@ class TestHotSwap:
 
 
 class TestJournalCompat:
-    """The binary tick codec must coexist with legacy JSON journals."""
-
-    def test_mixed_binary_and_json_journal_replays(
-        self, tmp_path, detector, threshold, ticks
-    ):
-        from repro.runtime.service import tick_payload
-
-        # checkpoint_every high + no close(): a clean close writes a
-        # final checkpoint, which would advance the cursor past the
-        # binary records.  Dying uncleanly keeps all four tick records
-        # in replay range.
-        config = make_service(
-            tmp_path, detector, threshold, checkpoint_every=100
-        )
-        service = MonitorService.open(config)
-        service.recover()
-        for tick in ticks[:2]:  # binary records via the live path
-            service.process_tick(tick)
-        # Hand-write two more ticks the way earlier releases journaled
-        # them: JSON row payloads.
-        service.wal.append(4, tick_payload(ticks[2]))
-        service.wal.append(5, tick_payload(ticks[3]))
-        service.wal.close()  # the process "dies" without a checkpoint
-
-        revived = MonitorService.open(config)
-        report = revived.recover()
-        revived.close()
-        assert report.ticks_replayed == 4
-        assert report.messages_replayed == sum(
-            len(t) for t in ticks[:4]
-        )
-
-        reference = make_service(
-            tmp_path, detector, threshold, name="reference"
-        )
-        with MonitorService.open(reference) as ref:
-            ref.recover()
-            expected = [ref.process_tick(t) for t in ticks[:4]]
-        for before, after in zip(expected, report.results):
-            assert np.array_equal(
-                before.scores, after.scores, equal_nan=True
-            )
-            assert before.warnings == after.warnings
+    """Replay accepts binary tick records and JSON swap records only."""
 
     def test_unrecognized_journal_record_refused(
         self, tmp_path, detector, threshold, ticks
     ):
-        config = make_service(tmp_path, detector, threshold)
-        service = MonitorService.open(config)
-        service.recover()
-        service.process_tick(ticks[0])
-        service.wal.append(3, b"\x99mystery bytes")
-        service.close()
-        revived = MonitorService.open(config)
-        with pytest.raises(
-            ServiceError, match="unrecognized journal record"
-        ):
-            revived.recover()
+        cases = [
+            (b"\x99mystery bytes", "unrecognized journal record"),
+            # JSON records other than swaps are refused, never
+            # silently skipped.
+            (
+                b'{"kind":"tick","messages":[]}',
+                "unknown journal record kind 'tick'",
+            ),
+        ]
+        for index, (payload, match) in enumerate(cases):
+            config = make_service(
+                tmp_path, detector, threshold, name=f"svc{index}"
+            )
+            service = MonitorService.open(config)
+            service.recover()
+            service.process_tick(ticks[0])
+            service.wal.append(3, payload)
+            service.close()
+            revived = MonitorService.open(config)
+            with pytest.raises(ServiceError, match=match):
+                revived.recover()
+            revived.wal.close()
+            revived.lock.release()
 
 
 class TestDrain:

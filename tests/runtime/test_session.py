@@ -1,0 +1,127 @@
+"""Tests for repro.runtime.session (one shard's serve lifecycle).
+
+The CLI tests drive sessions end to end through ``serve``; these pin
+the session's own contracts: one row format with an optional shard
+prefix, a crash path that leaves the WAL tail for replay, and an
+abandon path that writes no checkpoint.
+"""
+
+import pytest
+
+from repro.runtime.session import (
+    ServeSession,
+    SessionSpec,
+    SimulatedCrash,
+)
+from tests.runtime.test_service import (  # noqa: F401 (fixtures)
+    detector,
+    make_service,
+    threshold,
+    ticks,
+)
+
+
+def spec_for(config, tmp_path, name, **kwargs):
+    return SessionSpec(
+        service=config,
+        scores_path=str(tmp_path / f"{name}-scores.csv"),
+        warnings_path=str(tmp_path / f"{name}-warnings.csv"),
+        **kwargs,
+    )
+
+
+def lines(path):
+    return path.read_text().splitlines()
+
+
+def serve(spec, ticks):
+    session = ServeSession(spec)
+    session.recover()
+    for tick in ticks:
+        session.tick(tick)
+    session.close()
+    return session
+
+
+class TestRows:
+    def test_shard_prefix_is_the_only_difference(
+        self, tmp_path, detector, threshold, ticks
+    ):
+        plain = spec_for(
+            make_service(tmp_path, detector, threshold, name="a"),
+            tmp_path, "plain",
+        )
+        sharded = spec_for(
+            make_service(tmp_path, detector, threshold, name="b"),
+            tmp_path, "sharded", shard=3,
+        )
+        served = serve(plain, ticks)
+        serve(sharded, ticks)
+        for kind in ("scores", "warnings"):
+            rows = lines(tmp_path / f"plain-{kind}.csv")
+            assert rows
+            assert lines(tmp_path / f"sharded-{kind}.csv") == [
+                f"3,{row}" for row in rows
+            ]
+        assert served.n_warnings == len(
+            lines(tmp_path / "plain-warnings.csv")
+        )
+        # Rows end in a bare newline, whatever the platform.
+        text = (tmp_path / "plain-scores.csv").read_bytes()
+        assert b"\r" not in text
+
+    def test_incident_sink_needs_rca(
+        self, tmp_path, detector, threshold, ticks
+    ):
+        config = make_service(tmp_path, detector, threshold)
+        incidents = tmp_path / "incidents.csv"
+        serve(
+            SessionSpec(service=config, incidents_path=str(incidents)),
+            ticks[:2],
+        )
+        assert not incidents.exists()
+
+
+class TestLifecycle:
+    def test_crash_leaves_the_tail_for_replay(
+        self, tmp_path, detector, threshold, ticks
+    ):
+        reference = spec_for(
+            make_service(tmp_path, detector, threshold, name="ref"),
+            tmp_path, "ref",
+        )
+        serve(reference, ticks)
+        config = make_service(tmp_path, detector, threshold, name="svc")
+        drilled = spec_for(config, tmp_path, "svc", kill_after_ticks=5)
+        session = ServeSession(drilled)
+        session.recover()
+        with pytest.raises(SimulatedCrash):
+            for tick in ticks:
+                session.tick(tick)
+        session.crash()
+        revived = ServeSession(spec_for(config, tmp_path, "svc"))
+        assert revived.has_state
+        report = revived.recover()
+        assert report.ticks_replayed >= 1
+        for tick in ticks[revived.service.n_ticks:]:
+            revived.tick(tick)
+        revived.close()
+        for kind in ("scores", "warnings"):
+            assert set(lines(tmp_path / f"svc-{kind}.csv")) == set(
+                lines(tmp_path / f"ref-{kind}.csv")
+            )
+
+    def test_abandon_writes_no_checkpoint(
+        self, tmp_path, detector, threshold, ticks
+    ):
+        config = make_service(tmp_path, detector, threshold)
+        session = ServeSession(SessionSpec(service=config))
+        session.recover()
+        session.tick(ticks[0])
+        session.abandon()
+        assert not config.checkpoint_path.exists()
+        assert not config.lock_path.exists()
+        revived = ServeSession(SessionSpec(service=config))
+        assert revived.recover().ticks_replayed == 1
+        revived.close()
+        assert config.checkpoint_path.exists()

@@ -6,11 +6,14 @@ tests assert on the artifacts each stage produces.
 
 import csv
 import json
+import os
 import pathlib
+from collections import Counter
 
 import pytest
 
 from repro.cli import main, read_trace
+from repro.runtime.wal import WriteAheadLog
 
 
 @pytest.fixture(scope="module")
@@ -412,6 +415,112 @@ class TestFleetServe:
             "fleet.ticks_routed"
         ]
         assert snapshot["gauges"]["fleet.shards"] == 3
+
+
+class TestServeErrors:
+    """Bad on-disk state or input ends ``serve`` with a one-line reason
+    and exit 2 in both modes: no traceback from the CLI, and none from
+    a fleet worker either."""
+
+    SERVE_ARGS = [
+        "--threshold", "4.0", "--tick-size", "64",
+        "--checkpoint-every", "5",
+    ]
+
+    @staticmethod
+    def corrupt(case, data, shards):
+        if case == "foreign-lock":
+            # The parent process is alive and is not this one.
+            (data / "LOCK").write_text(f"{os.getppid()}\n")
+        elif case == "unknown-record":
+            root = data if shards == 1 else data / "shard-00"
+            wal = WriteAheadLog(root / "wal")
+            wal.append(wal.last_sequence + 1, b"\x99mystery bytes")
+            wal.close()
+        elif case == "torn-ring":
+            with open(data / "ring.jsonl", "a") as handle:
+                handle.write('{"event":"jo')
+
+    @pytest.mark.parametrize(
+        "case, shards, reason",
+        [
+            ("foreign-lock", 1, "held by live pid"),
+            ("foreign-lock", 2, "held by live pid"),
+            ("unknown-record", 1, "unrecognized journal record"),
+            ("unknown-record", 2, "unrecognized journal record"),
+            ("torn-ring", 2, "malformed ring event"),
+            ("bad-topology", 1, "cannot read topology"),
+            ("bad-topology", 2, "cannot read topology"),
+        ],
+    )
+    def test_typed_error_exits_2_without_traceback(
+        self, workflow, tmp_path, capfd, case, shards, reason
+    ):
+        data = tmp_path / "svc"
+        serve = [
+            "serve", "--data-dir", str(data),
+            "--trace", str(workflow["trace"]),
+            "--model", str(workflow["model"]),
+            "--shards", str(shards), *self.SERVE_ARGS,
+        ]
+        assert main([*serve, "--max-ticks", "2"]) == 0
+        self.corrupt(case, data, shards)
+        extra = ["--replay"]
+        if case == "bad-topology":
+            extra += [
+                "--rca", "--topology", str(tmp_path / "missing.json"),
+            ]
+        capfd.readouterr()
+        assert main([*serve, *extra]) == 2
+        err = capfd.readouterr().err
+        assert "Traceback" not in err
+        assert reason in err
+
+
+class TestServeModesAgree:
+    """``serve`` and ``serve --shards 2`` run the same session per
+    shard, so they score every message bitwise-identically and raise
+    the same warnings; only the tick (and shard) columns differ."""
+
+    @staticmethod
+    def rows(base, shards):
+        paths = (
+            [base]
+            if shards == 1
+            else sorted(base.parent.glob(base.name + ".shard*"))
+        )
+        skip = 0 if shards == 1 else 1
+        return [
+            line.split(",")[skip:]
+            for path in paths
+            for line in path.read_text().splitlines()
+        ]
+
+    def test_one_and_two_shards_agree(self, workflow, tmp_path):
+        scores, warnings = {}, {}
+        for shards in (1, 2):
+            scores_csv = tmp_path / f"scores{shards}.csv"
+            warnings_csv = tmp_path / f"warnings{shards}.csv"
+            assert main([
+                "serve", "--data-dir", str(tmp_path / f"svc{shards}"),
+                "--trace", str(workflow["trace"]),
+                "--model", str(workflow["model"]),
+                "--threshold", "4.0", "--tick-size", "64",
+                "--shards", str(shards),
+                "--scores-out", str(scores_csv),
+                "--warnings-out", str(warnings_csv),
+            ]) == 0
+            # (repr(score), kept), without the tick and row index.
+            scores[shards] = Counter(
+                tuple(row[2:]) for row in self.rows(scores_csv, shards)
+            )
+            warnings[shards] = Counter(
+                tuple(row[1:]) for row in self.rows(warnings_csv, shards)
+            )
+        assert sum(scores[1].values()) > 100
+        assert scores[1] == scores[2]
+        assert warnings[1]
+        assert warnings[1] == warnings[2]
 
 
 class TestTelemetryMerge:
