@@ -18,6 +18,8 @@ in-memory streaming engine:
 * :mod:`repro.runtime.session` — one shard's serve lifecycle (service,
   RCA, crash drill, CSV sinks), run in-process by ``python -m repro
   serve`` and inside every fleet worker;
+* :mod:`repro.runtime.blas` — the BLAS thread count a serve process
+  runs on (one per process, set by the session);
 * :mod:`repro.runtime.lock` — pid-stamped owner lockfiles so two
   processes can never append to one service's WAL;
 * :mod:`repro.runtime.ring` — the deterministic consistent-hash

@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence, TextIO
 from repro import telemetry
 from repro.logs.message import SyslogMessage
 from repro.rca import DEFAULT_CLUSTER_GAP, IncidentReport, RcaEngine, incident_row
+from repro.runtime.blas import limited_blas_threads
 from repro.runtime.lock import LockHeldError
 from repro.runtime.service import (
     FAULT_AFTER_WAL_APPEND,
@@ -40,6 +41,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 SESSION_ERRORS = (
     ServiceError, StoreError, WalCorruptionError, LockHeldError, TopologyError,
 )
+
+
+#: BLAS threads a serve process runs on while a session is open: a
+#: tick's matmuls are too small to repay a second thread's spinning,
+#: and fleet workers' default pools would fight over the cores (see
+#: :mod:`repro.runtime.blas`).
+SERVE_BLAS_THREADS = 1
 
 
 class SimulatedCrash(Exception):
@@ -244,13 +252,14 @@ def _kill_after(ticks: int) -> Callable[[str, int], None]:
 class ServeSession:
     """One shard's serve lifecycle over an open :class:`MonitorService`.
 
-    Construction opens the service (taking its owner lock) and
-    attaches the RCA engine, the optional drift-adaptation controller
-    and the drill hook.  :meth:`recover`, :meth:`tick` and
-    :meth:`drain` append every outcome to the sinks and drain newly
-    closed incidents.  End with exactly one of :meth:`close`
-    (checkpoint), :meth:`crash` (sinks only: the WAL tail stays for
-    replay) or :meth:`abandon` (files released, no checkpoint).
+    Construction limits the process's BLAS threads, opens the service
+    (taking its owner lock) and attaches the RCA engine, the optional
+    drift-adaptation controller and the drill hook.  :meth:`recover`,
+    :meth:`tick` and :meth:`drain` append every outcome to the sinks
+    and drain newly closed incidents.  End with exactly one of
+    :meth:`close` (checkpoint), :meth:`crash` (sinks only: the WAL tail
+    stays for replay) or :meth:`abandon` (files released, no
+    checkpoint); each restores the BLAS thread count.
 
     Attributes:
         spec: what this session serves and where it writes.
@@ -269,14 +278,23 @@ class ServeSession:
         rca = None
         if spec.rca:
             rca = RcaEngine(topology=spec.topology, cluster_gap=spec.rca_gap)
-        self._sink = _TickSink(spec)
+        # What every end path releases: the sinks and the BLAS limit.
+        self._scope = contextlib.ExitStack()
         try:
+            threads = self._scope.enter_context(
+                limited_blas_threads(SERVE_BLAS_THREADS)
+            )
+            self._sink = self._scope.enter_context(
+                contextlib.closing(_TickSink(spec))
+            )
             # Never closed on the crash path: a dead process writes no
             # final checkpoint, so the next open replays the WAL tail.
             self.service = MonitorService.open(spec.service)
         except BaseException:
-            self._sink.close()
+            self._scope.close()
             raise
+        if threads is not None:
+            telemetry.gauge("blas.threads").set(threads)
         # Attached before recover(): WAL replay rebuilds the
         # controller's drift windows and probation state, and
         # checkpointed incidents restore before replayed ticks rebuild
@@ -344,11 +362,11 @@ class ServeSession:
             # close() flushed the incidents still open at shutdown.
             self._drain_incidents()
         finally:
-            self._sink.close()
+            self._scope.close()
 
     def crash(self) -> None:
         """End like a crashed process: close the sinks, not the service."""
-        self._sink.close()
+        self._scope.close()
 
     def abandon(self) -> None:
         """Release the WAL handle and owner lock without the checkpoint
@@ -360,7 +378,7 @@ class ServeSession:
             finally:
                 self.service.lock.release()
         finally:
-            self._sink.close()
+            self._scope.close()
 
     def _emit(self, results: Sequence[TickResult]) -> None:
         self._sink.write(results)

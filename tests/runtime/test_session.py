@@ -2,12 +2,16 @@
 
 The CLI tests drive sessions end to end through ``serve``; these pin
 the session's own contracts: one row format with an optional shard
-prefix, a crash path that leaves the WAL tail for replay, and an
-abandon path that writes no checkpoint.
+prefix, a crash path that leaves the WAL tail for replay, an abandon
+path that writes no checkpoint, and a BLAS thread limit that holds
+while the session is open and no longer.
 """
 
 import pytest
 
+from repro import telemetry
+from repro.runtime.blas import blas_threads
+from repro.runtime.service import ServiceConfig, ServiceError
 from repro.runtime.session import (
     ServeSession,
     SessionSpec,
@@ -125,3 +129,30 @@ class TestLifecycle:
         assert revived.recover().ticks_replayed == 1
         revived.close()
         assert config.checkpoint_path.exists()
+
+
+@pytest.mark.skipif(
+    blas_threads() is None, reason="numpy does not run on OpenBLAS here"
+)
+class TestBlasThreads:
+    @pytest.mark.parametrize("end", ["close", "crash", "abandon"])
+    def test_limit_holds_while_open(
+        self, tmp_path, detector, threshold, ticks, end
+    ):
+        before = blas_threads()
+        config = make_service(tmp_path, detector, threshold)
+        registry = telemetry.MetricsRegistry()
+        with telemetry.use(registry):
+            session = ServeSession(SessionSpec(service=config))
+        assert blas_threads() == 1
+        assert registry.gauge("blas.threads").value == 1
+        session.tick(ticks[0])
+        getattr(session, end)()
+        assert blas_threads() == before
+
+    def test_failed_open_restores(self, tmp_path):
+        before = blas_threads()
+        with pytest.raises(ServiceError):
+            # No release in the store: the service refuses to open.
+            ServeSession(SessionSpec(service=ServiceConfig(tmp_path)))
+        assert blas_threads() == before

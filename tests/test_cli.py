@@ -13,6 +13,7 @@ from collections import Counter
 import pytest
 
 from repro.cli import main, read_trace
+from repro.runtime.blas import blas_threads
 from repro.runtime.wal import WriteAheadLog
 
 
@@ -521,6 +522,31 @@ class TestServeModesAgree:
         assert scores[1] == scores[2]
         assert warnings[1]
         assert warnings[1] == warnings[2]
+
+
+@pytest.mark.skipif(
+    blas_threads() is None, reason="numpy does not run on OpenBLAS here"
+)
+class TestServeBlasThreads:
+    """Each fleet worker runs one BLAS thread, so two shards' default
+    pools no longer fight over the cores; the coordinator process
+    keeps its own count.  (The single-shard process is a session's,
+    pinned in ``tests/runtime/test_session.py``.)"""
+
+    def test_one_thread_per_fleet_worker(self, workflow, tmp_path):
+        before = blas_threads()
+        out = tmp_path / "telemetry.json"
+        assert main([
+            "serve", "--data-dir", str(tmp_path / "svc"),
+            "--trace", str(workflow["trace"]),
+            "--model", str(workflow["model"]),
+            "--threshold", "4.0", "--tick-size", "64",
+            "--max-ticks", "4", "--shards", "2",
+            "--telemetry-out", str(out),
+        ]) == 0
+        gauges = json.loads(out.read_text())["gauges"]
+        assert gauges["blas.threads"] == 1
+        assert blas_threads() == before
 
 
 class TestTelemetryMerge:
