@@ -1,26 +1,28 @@
-"""Sharded-fleet benchmarks: aggregate throughput, kill-shard drill.
+"""Sharded-fleet benchmarks: aggregate throughput, kill drill.
 
 Two questions, one suite:
 
-* what does sharding buy?  The same round-robin fleet stream is
-  drained through :class:`~repro.runtime.fleet.FleetCoordinator`
-  topologies of 1, 2 and 4 shards at each device count, and the
-  aggregate acknowledged throughput (messages / wall seconds, spawn
-  and bootstrap excluded, coordinator routing included) is recorded
-  together with its scaling ratio against the 1-shard fleet at the
-  same device count.  Shards are OS processes, so the ratio is
-  hardware-dependent: on an N-core host the expected scaling at 4
-  shards is ~min(4, N) x, and the record therefore carries
-  ``host_cores`` so trajectory points from different machines stay
-  comparable (a single-core host pins ~1x by construction — the
-  perf gate in ``tests/perf/test_fleet_bench.py`` reads
+* what does sharding buy?  The same round-robin fleet stream, written
+  as a trace directory with one file per device, is served by fleets
+  of 1, 2 and 4 shards (:func:`repro.runtime.fleet.serve_fleet`) at
+  each device count.  The aggregate throughput (messages / wall seconds
+  of the whole fleet run: spawning the workers, each opening its shard
+  and reading its own devices' files, the drain and the final
+  checkpoint; bootstrap excluded) is recorded together with its scaling
+  ratio against the 1-shard fleet at the same device count.  Shards are
+  OS processes, so the ratio is hardware-dependent: on an N-core host
+  the expected scaling at 4 shards is ~min(4, N) x, and the record
+  therefore carries ``host_cores`` so trajectory points from different
+  machines stay comparable (a single-core host pins ~1x by construction
+  — the perf gate in ``tests/perf/test_fleet_bench.py`` reads
   ``host_cores`` and asserts the bound the hardware can express);
 * does a shard death hurt the rest?  The kill drill crashes the
-  busiest shard mid-drain, asserts every surviving shard finished its
-  backlog, restarts the dead shard (WAL replay), finishes the feed
-  and diffs the per-shard score CSVs against an uninterrupted run's:
-  parity must be exact (``repr`` float64 rows), with zero dropped and
-  zero double-scored rows.
+  busiest shard after a few ticks (through that shard's
+  ``SessionSpec.kill_after_ticks``), checks that every surviving shard
+  scored its whole feed, reruns the fleet with replay and diffs the
+  per-shard score CSVs against an uninterrupted run's: parity must be
+  exact (``repr`` float64 rows), with zero dropped and zero
+  double-scored rows.
 
 ``run(scale)`` returns a JSON-ready record; ``run.py fleet`` appends
 it to ``BENCH_fleet.json`` at the repo root.
@@ -33,17 +35,19 @@ import pathlib
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Set, Tuple
 
 import streaming
 from repro import telemetry
 from repro.core.detector import LSTMAnomalyDetector
-from repro.runtime.fleet import (
-    FleetConfig,
-    FleetCoordinator,
-    bootstrap_fleet,
-)
+from repro.logs.trace import write_streams
+from repro.runtime.fleet import record_shards, serve_fleet, shard_spec
+from repro.runtime.ring import shard_of
+from repro.runtime.service import ServiceConfig, stage_release
+from repro.runtime.session import ServeJob, SessionSpec, ShardOutcome
+from repro.runtime.store import ArtifactStore
 
 
 @dataclass(frozen=True)
@@ -55,7 +59,6 @@ class FleetScale:
     device_counts: Tuple[int, ...]
     timed_messages: int
     tick_size: int = 256
-    max_inflight: int = 4
     drill_shards: int = 4
     drill_devices: int = 1024
     drill_messages: int = 8192
@@ -66,7 +69,7 @@ class FleetScale:
 
 SCALES: Dict[str, FleetScale] = {
     # The reference sweep BENCH_fleet.json records: up to the 10k+
-    # device regime the ROADMAP's million-user target passes through.
+    # device regime.
     "default": FleetScale(
         name="default",
         shard_counts=(1, 2, 4),
@@ -105,33 +108,45 @@ def build_detector(scale: FleetScale) -> LSTMAnomalyDetector:
     return f64
 
 
-def _drain_once(
-    config: FleetConfig,
-    detector: LSTMAnomalyDetector,
-    feed,
-    tick_size: int,
-) -> Tuple[float, float, int]:
-    """Bootstrap + spawn a fleet, drain ``feed`` once, tear down.
+def write_trace(root: pathlib.Path, devices: int, messages: int) -> pathlib.Path:
+    """The synthetic fleet stream as a trace directory."""
+    streams: Dict[str, List] = {}
+    for message in streaming.fleet_stream(devices, messages):
+        streams.setdefault(message.host, []).append(message)
+    trace = root / f"trace-d{devices}-m{messages}"
+    write_streams(trace, {"vpes": list(streams)}, streams)
+    return trace
 
-    Returns ``(wall_seconds, drain_seconds, messages)`` where wall
-    time wraps the whole drain call (routing included) and drain time
-    is the coordinator's own post-partition clock.
-    """
-    bootstrap_fleet(config, detector, float("inf"))
-    registry = telemetry.MetricsRegistry()
-    with telemetry.use(registry):
-        coordinator = FleetCoordinator.open(config)
-        try:
-            start = time.perf_counter()
-            report = coordinator.drain(feed, tick_size=tick_size)
-            wall = time.perf_counter() - start
-        finally:
-            coordinator.close()
-    if report.dead_shards:
-        raise RuntimeError(
-            f"shards died during a timing drain: {report.dead_shards}"
+
+def make_fleet(
+    root: pathlib.Path,
+    shards: int,
+    detector: LSTMAnomalyDetector,
+    checkpoint_every: int = 16,
+    scores_path: Optional[str] = None,
+) -> List[SessionSpec]:
+    """A fresh fleet directory's shard specs, every store bootstrapped."""
+    base = SessionSpec(
+        service=ServiceConfig(data_dir=root, checkpoint_every=checkpoint_every),
+        scores_path=scores_path,
+    )
+    record_shards(root, shards)
+    specs = [shard_spec(base, k) for k in range(shards)]
+    for spec in specs:
+        stage_release(
+            ArtifactStore(spec.service.store_dir), detector, float("inf")
         )
-    return wall, report.seconds, report.messages
+    return specs
+
+
+def serve(
+    specs: List[SessionSpec], job: ServeJob
+) -> Tuple[float, List[ShardOutcome]]:
+    """One fleet run; returns its wall seconds and shard outcomes."""
+    with telemetry.use(telemetry.MetricsRegistry()):
+        start = time.perf_counter()
+        outcomes = serve_fleet(specs[0].service.data_dir.parent, specs, job)
+        return time.perf_counter() - start, outcomes
 
 
 def bench_scaling(scale: FleetScale, root: pathlib.Path) -> Dict:
@@ -139,27 +154,27 @@ def bench_scaling(scale: FleetScale, root: pathlib.Path) -> Dict:
     detector = build_detector(scale)
     sweep: List[Dict] = []
     for devices in scale.device_counts:
-        feed = streaming.fleet_stream(devices, scale.timed_messages)
+        trace = write_trace(root, devices, scale.timed_messages)
+        job = ServeJob(trace=str(trace), tick_size=scale.tick_size)
         base_rate: Optional[float] = None
         for shards in scale.shard_counts:
-            config = FleetConfig(
-                data_dir=root / f"sweep-d{devices}-s{shards}",
-                shards=shards,
-                max_inflight=scale.max_inflight,
+            specs = make_fleet(
+                root / f"sweep-d{devices}-s{shards}", shards, detector
             )
-            wall, drain_s, messages = _drain_once(
-                config, detector, feed, scale.tick_size
-            )
-            rate = messages / wall
-            if shards == scale.shard_counts[0] and shards == 1:
+            wall, outcomes = serve(specs, job)
+            if any(outcome.exit_code for outcome in outcomes):
+                raise RuntimeError(
+                    f"a shard crashed during a timing run: {outcomes}"
+                )
+            rate = scale.timed_messages / wall
+            if shards == 1:
                 base_rate = rate
             sweep.append(
                 {
                     "devices": devices,
                     "shards": shards,
-                    "messages": messages,
+                    "messages": scale.timed_messages,
                     "wall_s": wall,
-                    "drain_s": drain_s,
                     "msgs_per_s": rate,
                     "scaling_vs_1shard": (
                         rate / base_rate if base_rate else 1.0
@@ -168,93 +183,82 @@ def bench_scaling(scale: FleetScale, root: pathlib.Path) -> Dict:
             )
     return {
         "tick_size": scale.tick_size,
-        "max_inflight": scale.max_inflight,
         "timed_messages": scale.timed_messages,
         "host_cores": host_cores(),
         "sweep": sweep,
     }
 
 
-def _read_rows(base: pathlib.Path) -> List[str]:
-    """All CSV rows across one run's per-shard score files."""
+def _read_rows(specs: List[SessionSpec]) -> List[str]:
+    """All CSV rows across one fleet's per-shard score files."""
     rows: List[str] = []
-    for path in sorted(base.parent.glob(base.name + ".shard*")):
-        rows.extend(path.read_text().splitlines())
+    for spec in specs:
+        rows.extend(pathlib.Path(spec.scores_path).read_text().splitlines())
     return rows
 
 
 def bench_kill_drill(scale: FleetScale, root: pathlib.Path) -> Dict:
     """Kill the busiest shard mid-drain; prove replay parity.
 
-    The baseline run and the drill run score the same feed through
-    the same topology; after the drill's crash, survivor-completion,
-    restart and resumed drain, the union of per-shard CSV rows must
+    The baseline run and the drill run serve the same trace over the
+    same shard count; after the drill's crash, the survivors' complete
+    drains and the replay rerun, the union of per-shard CSV rows must
     match the baseline's exactly — replayed ticks re-land byte-for-
     byte (``repr`` float64) and collapse like CI's ``sort -u``.
     """
     detector = build_detector(scale)
-    feed = streaming.fleet_stream(
-        scale.drill_devices, scale.drill_messages
+    shards = scale.drill_shards
+    trace = write_trace(root, scale.drill_devices, scale.drill_messages)
+    owned = Counter(
+        shard_of(message.host, shards)
+        for message in streaming.fleet_stream(
+            scale.drill_devices, scale.drill_messages
+        )
     )
+    # Kill the shard carrying the most messages so the drill always
+    # crashes a loaded worker.
+    victim = max(range(shards), key=lambda shard: owned[shard])
+    job = ServeJob(trace=str(trace), tick_size=scale.drill_tick_size)
 
-    baseline_cfg = FleetConfig(
-        data_dir=root / "drill-baseline",
-        shards=scale.drill_shards,
-        checkpoint_every=scale.drill_checkpoint_every,
-        scores_out=str(root / "drill-baseline.csv"),
+    baseline = make_fleet(
+        root / "drill-baseline", shards, detector,
+        scale.drill_checkpoint_every, str(root / "drill-baseline.csv"),
     )
-    bootstrap_fleet(baseline_cfg, detector, float("inf"))
-    with telemetry.use(telemetry.MetricsRegistry()):
-        coordinator = FleetCoordinator.open(baseline_cfg)
-        try:
-            coordinator.drain(feed, tick_size=scale.drill_tick_size)
-        finally:
-            coordinator.close()
-        # Kill the shard carrying the most devices so the drill always
-        # crashes a loaded worker (tiny fleets leave shards empty).
-        parts = coordinator.partition(feed)
-    victim = max(parts, key=lambda shard: len(parts[shard]))
+    serve(baseline, job)
 
-    drill_cfg = FleetConfig(
-        data_dir=root / "drill-crash",
-        shards=scale.drill_shards,
-        checkpoint_every=scale.drill_checkpoint_every,
-        scores_out=str(root / "drill-crash.csv"),
-        kill_shard=victim,
-        kill_after_ticks=scale.drill_kill_after,
+    drill = make_fleet(
+        root / "drill-crash", shards, detector,
+        scale.drill_checkpoint_every, str(root / "drill-crash.csv"),
     )
-    bootstrap_fleet(drill_cfg, detector, float("inf"))
-    with telemetry.use(telemetry.MetricsRegistry()):
-        coordinator = FleetCoordinator.open(drill_cfg)
-        try:
-            crashed = coordinator.drain(
-                feed, tick_size=scale.drill_tick_size
-            )
-            survivors_stalled = any(
-                report.backlog > 0
-                for shard, report in crashed.per_shard.items()
-                if shard != victim
-            )
-            replayed = coordinator.restart_shard(victim)
-            resumed = coordinator.drain(
-                feed, tick_size=scale.drill_tick_size
-            )
-        finally:
-            coordinator.close()
+    drill[victim] = replace(
+        drill[victim], kill_after_ticks=scale.drill_kill_after
+    )
+    _, crashed = serve(drill, job)
+    survivors_stalled = any(
+        len(_read_rows([spec])) != owned[spec.shard]
+        for spec in drill
+        if spec.shard != victim
+    )
+    drill[victim] = replace(drill[victim], kill_after_ticks=None)
+    _, resumed = serve(drill, replace(job, replay=True))
 
-    baseline_rows = _read_rows(root / "drill-baseline.csv")
-    drill_rows = _read_rows(root / "drill-crash.csv")
+    baseline_rows = _read_rows(baseline)
+    drill_rows = _read_rows(drill)
     baseline_set: Set[str] = set(baseline_rows)
     drill_set: Set[str] = set(drill_rows)
     return {
         "devices": scale.drill_devices,
-        "shards": scale.drill_shards,
+        "shards": shards,
         "messages": scale.drill_messages,
         "killed_shard": victim,
         "kill_after_ticks": scale.drill_kill_after,
-        "replayed_ticks": replayed,
-        "crashed_dead_shards": list(crashed.dead_shards),
-        "resumed_dead_shards": list(resumed.dead_shards),
+        "replayed_ticks": resumed[victim].recovered["ticks"],
+        "crashed_dead_shards": [
+            k for k, outcome in enumerate(crashed) if outcome.exit_code
+        ],
+        "resumed_dead_shards": [
+            k for k, outcome in enumerate(resumed) if outcome.exit_code
+        ],
         "survivors_stalled": survivors_stalled,
         "score_parity": baseline_set == drill_set,
         "dropped_rows": len(baseline_set - drill_set),

@@ -29,7 +29,8 @@ import csv
 import json
 import pathlib
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,30 +41,28 @@ from repro.devtools.cli import add_check_parser
 from repro.core.mapping import map_anomalies, warning_clusters
 from repro.core.online import OnlineMonitor
 from repro.evaluation.reporting import format_table
-from repro.logs.message import (
-    SyslogMessage,
-    message_from_dict,
-    message_to_dict,
-)
+from repro.logs.message import SyslogMessage
 from repro.logs.persistence import store_from_json, store_to_json
 from repro.logs.templates import TemplateStore
+from repro.logs.trace import merge_streams, read_streams, write_streams
 from repro.rca import DEFAULT_CLUSTER_GAP
+from repro.runtime.adapt import AdaptConfig
 from repro.runtime.fleet import (
-    FleetConfig,
-    FleetCoordinator,
     FleetError,
-    fleet_has_state,
-    load_ring,
+    record_shards,
+    serve_fleet,
+    shard_spec,
 )
-from repro.runtime.adapt import AdaptConfig, AdaptationController
 from repro.runtime.service import ServiceConfig, stage_release
 from repro.runtime.session import (
     SESSION_ERRORS,
+    ServeJob,
     ServeSession,
     SessionSpec,
-    SimulatedCrash,
+    ShardOutcome,
+    serve_shard,
 )
-from repro.runtime.store import ArtifactStore
+from repro.runtime.store import ArtifactStore, StoreError
 from repro.synthesis import (
     FleetDataset,
     FleetSimulator,
@@ -80,21 +79,21 @@ from repro.topology import FleetTopology, TopologyConfig
 # -- trace I/O ------------------------------------------------------------
 
 
-def _message_to_json(message: SyslogMessage) -> str:
-    return json.dumps(message_to_dict(message))
-
-
-def _message_from_json(line: str) -> SyslogMessage:
-    return message_from_dict(json.loads(line))
-
-
 def write_trace(dataset: FleetDataset, out_dir: pathlib.Path) -> None:
     """Persist a FleetDataset as jsonl streams + tickets.csv + meta."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for vpe, stream in dataset.messages.items():
-        with open(out_dir / f"{vpe}.jsonl", "w") as handle:
-            for message in stream:
-                handle.write(_message_to_json(message) + "\n")
+    meta = {
+        "start": dataset.start,
+        "end": dataset.end,
+        "vpes": dataset.vpe_names,
+        "updates": [
+            {
+                "time": update.time,
+                "affected": sorted(update.affected_vpes),
+            }
+            for update in dataset.updates
+        ],
+    }
+    write_streams(out_dir, meta, dataset.messages)
     with open(out_dir / "tickets.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(
@@ -113,33 +112,15 @@ def write_trace(dataset: FleetDataset, out_dir: pathlib.Path) -> None:
         dataset.topology.save(out_dir / "topology.json")
     if dataset.incidents:
         write_incidents(dataset.incidents, out_dir / "incidents.csv")
-    meta = {
-        "start": dataset.start,
-        "end": dataset.end,
-        "vpes": dataset.vpe_names,
-        "updates": [
-            {
-                "time": update.time,
-                "affected": sorted(update.affected_vpes),
-            }
-            for update in dataset.updates
-        ],
-    }
-    (out_dir / "meta.json").write_text(json.dumps(meta, indent=2))
 
 
 def read_trace(
     trace_dir: pathlib.Path,
+    owns: Optional[Callable[[str], bool]] = None,
 ) -> Tuple[dict, Dict[str, List[SyslogMessage]], List[TroubleTicket]]:
-    """Load a trace directory written by :func:`write_trace`."""
-    meta = json.loads((trace_dir / "meta.json").read_text())
-    messages: Dict[str, List[SyslogMessage]] = {}
-    for vpe in meta["vpes"]:
-        path = trace_dir / f"{vpe}.jsonl"
-        with open(path) as handle:
-            messages[vpe] = [
-                _message_from_json(line) for line in handle
-            ]
+    """Load a trace directory written by :func:`write_trace`; with
+    ``owns``, only the message streams of the vPEs it accepts."""
+    meta, messages = read_streams(trace_dir, owns)
     tickets: List[TroubleTicket] = []
     with open(trace_dir / "tickets.csv") as handle:
         for row in csv.DictReader(handle):
@@ -157,6 +138,16 @@ def read_trace(
                 )
             )
     return meta, messages, tickets
+
+
+def _serve_feed(
+    trace_dir: str, owns: Optional[Callable[[str], bool]] = None
+) -> List[SyslogMessage]:
+    """A serving shard's feed, loaded like every other command's trace
+    through :func:`read_trace` (the layer ``benchmarks/e2e`` times as
+    ``cli.read_trace``)."""
+    _, messages, _ = read_trace(pathlib.Path(trace_dir), owns)
+    return merge_streams(messages)
 
 
 def _normal_messages(
@@ -392,16 +383,9 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 #: Typed errors ``serve`` reports in one line with exit code 2: bad
-#: on-disk state, a held lock, an unreadable topology or ring journal.
+#: on-disk state or trace, a held lock, an unreadable topology, a fleet
+#: directory opened with another shard count.
 _SERVE_ERRORS = (*SESSION_ERRORS, FleetError)
-
-
-def _serve_feed(trace_dir: pathlib.Path) -> List[SyslogMessage]:
-    """The trace merged into one deterministic arrival order."""
-    meta, messages, _ = read_trace(trace_dir)
-    feed = [message for vpe in meta["vpes"] for message in messages[vpe]]
-    feed.sort(key=lambda m: m.timestamp)  # stable: fixed vpe order
-    return feed
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -410,19 +394,17 @@ def cmd_serve(args: argparse.Namespace) -> int:
     Bootstraps the artifact store from ``--model``/``--threshold`` on
     first run; on later runs ``--replay`` restores the checkpoint and
     replays unacknowledged WAL ticks before resuming the feed.  With
-    ``--shards N`` (N > 1) the same feed runs through the sharded
-    fleet runtime instead: one worker process per shard, routed by the
-    consistent-hash ring; either way a
-    :class:`~repro.runtime.session.ServeSession` serves each shard.
-    Exit codes: 0 on success, 2 on operator error or bad on-disk
-    state, 3 when a crash was simulated (``--kill-after-ticks``, or
-    ``--kill-shard K --after-ticks T`` in fleet mode).
+    ``--shards N`` (N > 1) the data dir holds a fleet of N shards: one
+    worker process each, serving the vPE files
+    :func:`~repro.runtime.ring.shard_of` gives it through the same
+    :func:`~repro.runtime.session.serve_shard` single-shard ``serve``
+    runs in-process, so every other flag applies to every shard.
+    Exit codes: 0 on success, 2 on operator error or bad on-disk state
+    or trace, 3 when a shard crashed (``--kill-after-ticks``).
     """
     registry = telemetry.MetricsRegistry()
     try:
         with telemetry.use(registry):
-            if args.shards > 1:
-                return _run_fleet_serve(args)
             return _run_serve(args)
     except _SERVE_ERRORS as error:
         print(str(error), file=sys.stderr)
@@ -463,124 +445,38 @@ def _bootstrap(
     return True
 
 
-def _run_fleet_serve(args: argparse.Namespace) -> int:
-    """The ``serve --shards N`` workflow over the fleet coordinator."""
-    refusals = (
-        (
-            args.auto_adapt,
-            "--auto-adapt is a single-shard control loop; fleet shards "
-            "adapt individually (run each shard data dir through "
-            "serve --auto-adapt)",
-        ),
-        (
-            args.rollback,
-            "--rollback applies to single-shard stores; roll back each "
-            "shard-NN/store directory individually",
-        ),
-        (
-            args.kill_after_ticks is not None,
-            "--kill-after-ticks is the single-shard drill; fleet mode "
-            "uses --kill-shard K --after-ticks T",
-        ),
-        (
-            (args.kill_shard is None) != (args.after_ticks is None),
-            "--kill-shard and --after-ticks go together",
-        ),
-    )
-    for refused, reason in refusals:
-        if refused:
-            print(reason, file=sys.stderr)
-            return 2
-    config = FleetConfig(
-        data_dir=args.data_dir,
-        shards=args.shards,
-        checkpoint_every=args.checkpoint_every,
-        keep_releases=args.keep_releases,
-        quantized=args.quantized,
-        scores_out=args.scores_out,
-        warnings_out=args.warnings_out,
-        kill_shard=args.kill_shard,
-        kill_after_ticks=args.after_ticks,
-        rca=args.rca,
-        topology_path=args.topology,
-        rca_gap=args.rca_gap,
-        incidents_out=args.incidents_out,
-    )
-    ring = load_ring(config)
-    if not _bootstrap(args, [config.shard_config(k) for k in ring.shards]):
-        return 2
-    if fleet_has_state(config) and not args.replay:
-        print(
-            f"{config.data_dir} has prior fleet state; rerun with "
-            "--replay to recover it (refusing to ingest blind)",
-            file=sys.stderr,
+def _run_rollback(configs: Sequence[ServiceConfig]) -> int:
+    """``serve --rollback``: journal a rollback swap in every store and
+    checkpoint it, so a later ``--replay`` resumes under the rolled-back
+    model.  Refuses before touching any store unless each one retains
+    an earlier release."""
+    for config in configs:
+        store = ArtifactStore(
+            config.store_dir, keep_releases=config.keep_releases
         )
-        return 2
-    coordinator = FleetCoordinator.open(config)
-    exit_code = 0
-    try:
-        if args.replay:
-            print(
-                f"recovered {config.shards} shards; replayed "
-                f"{coordinator.replayed_ticks} ticks"
-            )
-        if args.trace:
-            feed = _serve_feed(pathlib.Path(args.trace))
-            report = coordinator.drain(
-                feed,
-                tick_size=args.tick_size,
-                adaptive=args.adaptive_tick,
-                max_ticks=args.max_ticks,
-            )
-            print(
-                f"served {report.ticks} ticks "
-                f"({report.messages} messages, "
-                f"{report.warnings} warnings) across "
-                f"{len(coordinator.ring)} shards at "
-                f"{report.msgs_per_s:.0f} msgs/s"
-            )
-            if args.rca:
-                print(
-                    f"rca: {report.incidents} incident(s) closed "
-                    "across shards"
-                )
-            if report.dead_shards:
-                print(
-                    "shards died mid-drain: "
-                    f"{list(report.dead_shards)}; their backlog "
-                    "resumes after restart with --replay",
-                    file=sys.stderr,
-                )
-                exit_code = 3
-    finally:
-        coordinator.close()
-    print(f"fleet state in {config.data_dir}")
-    return exit_code
-
-
-def _run_rollback(config: ServiceConfig) -> int:
-    """``serve --rollback``: journal a rollback swap and checkpoint it,
-    so a later ``--replay`` resumes under the rolled-back model."""
-    session = ServeSession(SessionSpec(service=config))
-    try:
-        release_id = session.rollback()
-    except BaseException:
-        # The swap did not land: no checkpoint, just surrender the
-        # files so the next attempt can lock them.
-        session.abandon()
-        raise
-    session.close()
-    print(f"rolled back to release {release_id}")
+        try:
+            store.previous_id()
+        except StoreError as error:
+            raise StoreError(f"{store.directory}: {error}") from None
+    for config in configs:
+        session = ServeSession(SessionSpec(service=config))
+        try:
+            release_id = session.rollback()
+        except BaseException:
+            # The swap did not land: no checkpoint, just surrender the
+            # files so the next attempt can lock them.
+            session.abandon()
+            raise
+        session.close()
+        print(f"rolled back {config.data_dir} to release {release_id}")
     return 0
 
 
-def _build_controller(
-    args: argparse.Namespace,
-) -> Optional[AdaptationController]:
-    """The ``--auto-adapt`` controller for a serve run (or None)."""
+def _adapt_config(args: argparse.Namespace) -> Optional[AdaptConfig]:
+    """The ``--auto-adapt`` controller config for a serve run (or None)."""
     if not args.auto_adapt:
         return None
-    adapt_config = AdaptConfig(
+    return AdaptConfig(
         drift_threshold=args.drift_threshold,
         drift_checks=args.drift_checks,
         replay_ticks=args.adapt_replay_ticks,
@@ -591,88 +487,84 @@ def _build_controller(
         inline=args.adapt_inline,
         poison=args.adapt_poison,
     )
-    return AdaptationController(adapt_config)
+
+
+def _report(args: argparse.Namespace, outcome: ShardOutcome, prefix: str) -> None:
+    """Print how one shard's serve ended, each line led by ``prefix``."""
+    if outcome.recovered is not None:
+        replay = outcome.recovered
+        print(
+            f"{prefix}recovered from cursor {replay['checkpoint_cursor']}; "
+            f"replayed {replay['ticks']} ticks ({replay['messages']} "
+            f"messages, {replay['swaps']} swaps)"
+        )
+    if outcome.exit_code == 3:
+        crash = (
+            "died without reporting" if outcome.crashed_at is None else
+            f"simulated crash at journal sequence {outcome.crashed_at}"
+        )
+        print(f"{prefix}{crash}; rerun with --replay", file=sys.stderr)
+        return
+    print(
+        f"{prefix}served {outcome.live_ticks} live ticks "
+        f"({outcome.warnings} warnings)"
+    )
+    if args.rca:
+        print(f"{prefix}rca: {outcome.incidents} incident(s) closed this run")
+    if args.auto_adapt:
+        print(
+            f"{prefix}adaptation: {outcome.swaps} swap(s), "
+            f"{outcome.rollbacks} rollback(s) this run"
+        )
 
 
 def _run_serve(args: argparse.Namespace) -> int:
-    """Single-shard serve: one in-process :class:`ServeSession`."""
-    config = ServiceConfig(
-        data_dir=args.data_dir,
-        checkpoint_every=args.checkpoint_every,
-        keep_releases=args.keep_releases,
-        quantized=args.quantized,
-    )
-    if args.rollback:
-        return _run_rollback(config)
-    if not _bootstrap(args, [config]):
-        return 2
+    """``serve`` in either mode: one :func:`serve_shard` per shard."""
     spec = SessionSpec(
-        service=config,
+        service=ServiceConfig(
+            data_dir=args.data_dir,
+            checkpoint_every=args.checkpoint_every,
+            keep_releases=args.keep_releases,
+            quantized=args.quantized,
+        ),
         scores_path=args.scores_out,
         warnings_path=args.warnings_out,
         incidents_path=args.incidents_out,
         kill_after_ticks=args.kill_after_ticks,
         rca=args.rca,
-        topology=(
-            FleetTopology.load(args.topology)
-            if args.rca and args.topology
-            else None
-        ),
         rca_gap=args.rca_gap,
     )
-    session = ServeSession(spec, _build_controller(args))
-    try:
-        if session.has_state and not args.replay:
-            session.abandon()
-            print(
-                f"{config.data_dir} has prior service state; rerun "
-                "with --replay to recover it (refusing to ingest "
-                "blind)",
-                file=sys.stderr,
-            )
-            return 2
-        if args.replay:
-            report = session.recover()
-            print(
-                f"recovered from cursor {report.checkpoint_cursor}; "
-                f"replayed {report.ticks_replayed} ticks "
-                f"({report.messages_replayed} messages, "
-                f"{report.swaps_replayed} swaps)"
-            )
-        n_live = 0
-        if args.trace:
-            n_live = session.drain(
-                _serve_feed(pathlib.Path(args.trace)),
-                tick_size=args.tick_size,
-                adaptive=args.adaptive_tick,
-                max_ticks=args.max_ticks,
-            )
-        session.close()
-    except SimulatedCrash as crash:
-        # No close(), no final checkpoint: the next run must recover
-        # from the WAL exactly like a real crash.
-        session.crash()
-        print(
-            f"simulated crash at journal sequence {crash.args[0]}",
-            file=sys.stderr,
-        )
-        return 3
-    except BaseException:
-        session.abandon()
-        raise
-    print(
-        f"served {n_live} live ticks ({session.n_warnings} warnings); "
-        f"state in {config.data_dir}"
+    specs = [spec]
+    if args.shards > 1:
+        record_shards(args.data_dir, args.shards)
+        specs = [shard_spec(spec, k) for k in range(args.shards)]
+    configs = [shard.service for shard in specs]
+    if args.rollback:
+        return _run_rollback(configs)
+    if not _bootstrap(args, configs):
+        return 2
+    if args.rca and args.topology:
+        topology = FleetTopology.load(args.topology)
+        specs = [replace(shard, topology=topology) for shard in specs]
+    job = ServeJob(
+        trace=args.trace,
+        read=_serve_feed,
+        tick_size=args.tick_size,
+        adaptive=args.adaptive_tick,
+        max_ticks=args.max_ticks,
+        replay=args.replay,
+        adapt=_adapt_config(args),
     )
-    if args.rca:
-        print(f"rca: {session.n_incidents} incident(s) closed this run")
-    controller = session.service.controller
-    if controller is not None:
-        print(
-            f"adaptation: {controller.swaps} swap(s), "
-            f"{controller.rollbacks} rollback(s) this run"
-        )
-    return 0
+    if args.shards == 1:
+        outcome = serve_shard(specs[0], job)
+        _report(args, outcome, "")
+        print(f"state in {args.data_dir}")
+        return outcome.exit_code
+    outcomes = serve_fleet(args.data_dir, specs, job)
+    for shard, outcome in zip(specs, outcomes):
+        _report(args, outcome, f"shard {shard.shard:02d}: ")
+    print(f"served across {args.shards} shards; fleet state in {args.data_dir}")
+    return max(outcome.exit_code for outcome in outcomes)
 
 
 #: Invariants asserted by ``repro telemetry --check``: the CI gate
@@ -1021,12 +913,20 @@ def build_parser() -> argparse.ArgumentParser:
             "publish — the auto-rollback drill"
         ),
     )
-    p.add_argument("--max-ticks", type=int, default=None)
+    p.add_argument(
+        "--max-ticks",
+        type=int,
+        default=None,
+        help="stop after N live ticks (per shard with --shards)",
+    )
     p.add_argument(
         "--kill-after-ticks",
         type=int,
         default=None,
-        help="simulate a crash after N journaled ticks (exit 3)",
+        help=(
+            "simulate a crash after N journaled ticks (exit 3); with "
+            "--shards, every shard crashes after its own N ticks"
+        ),
     )
     p.add_argument("--scores-out", default=None)
     p.add_argument("--warnings-out", default=None)
@@ -1063,19 +963,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=1,
-        help="run the sharded fleet runtime with N worker processes",
-    )
-    p.add_argument(
-        "--kill-shard",
-        type=int,
-        default=None,
-        help="fleet crash drill: shard to kill (with --after-ticks)",
-    )
-    p.add_argument(
-        "--after-ticks",
-        type=int,
-        default=None,
-        help="kill --kill-shard after N journaled ticks (exit 3)",
+        help=(
+            "serve a fleet of N shards, one worker process each, every "
+            "shard serving its own vPEs' files under --data-dir/shard-NN; "
+            "the count is recorded at first run and must match later"
+        ),
     )
     p.set_defaults(func=cmd_serve)
 

@@ -42,11 +42,11 @@ WORKER_ENTRYPOINTS: Tuple[str, ...] = (
 )
 
 #: Project classes allowed across multiprocessing pipes / spawn args.
-#: ``SessionSpec`` is a frozen dataclass of configuration (paths,
-#: knobs, a read-only topology): it pickles and carries no handles, so
-#: shipping it to a worker is the designed hand-off, not a leak of
-#: live state.
-PIPE_SAFE_CLASSES: Tuple[str, ...] = ("SessionSpec",)
+#: ``SessionSpec`` and ``ServeJob`` are frozen dataclasses of
+#: configuration (paths, knobs, a read-only topology, a module-level
+#: reader function): they pickle and carry no handles, so shipping them
+#: to a worker is the designed hand-off, not a leak of live state.
+PIPE_SAFE_CLASSES: Tuple[str, ...] = ("SessionSpec", "ServeJob")
 
 #: Resource classes tracked by the RPR6xx lifecycle checks, mapped to
 #: the method(s) that release them.  ``open`` is the builtin file
@@ -56,7 +56,6 @@ RESOURCE_CLASSES: Dict[str, Tuple[str, ...]] = {
     "WriteAheadLog": ("close",),
     "OwnerLock": ("release",),
     "MonitorService": ("close",),
-    "FleetCoordinator": ("close",),
     "_TickSink": ("close",),
 }
 

@@ -16,16 +16,17 @@ in-memory streaming engine:
   WAL, checkpoint cadence, hot model swap and graceful shutdown
   together;
 * :mod:`repro.runtime.session` — one shard's serve lifecycle (service,
-  RCA, crash drill, CSV sinks), run in-process by ``python -m repro
-  serve`` and inside every fleet worker;
+  RCA, crash drill, CSV sinks) and ``serve_shard``, one whole run of it,
+  called in-process by ``python -m repro serve`` and inside every fleet
+  worker;
 * :mod:`repro.runtime.blas` — the BLAS thread count a serve process
   runs on (one per process, set by the session);
 * :mod:`repro.runtime.lock` — pid-stamped owner lockfiles so two
   processes can never append to one service's WAL;
-* :mod:`repro.runtime.ring` — the deterministic consistent-hash
-  ring mapping devices to shards;
-* :mod:`repro.runtime.fleet` — the shared-nothing sharded fleet: a
-  coordinator routing ingest to per-shard worker processes
+* :mod:`repro.runtime.ring` — ``shard_of``, the deterministic
+  consistent-hash split of devices over a fleet's shards;
+* :mod:`repro.runtime.fleet` — the shared-nothing sharded fleet: one
+  worker process per shard, each serving its own devices' files
   (``python -m repro serve --shards N``);
 * :mod:`repro.runtime.adapt` — the closed-loop drift adaptation
   controller: drift watch → background fine-tune → journaled hot
@@ -43,17 +44,9 @@ from repro.runtime.checkpoint import (
     read_checkpoint,
     write_checkpoint,
 )
-from repro.runtime.fleet import (
-    FleetConfig,
-    FleetCoordinator,
-    FleetDrainReport,
-    FleetError,
-    ShardDrain,
-    bootstrap_fleet,
-    fleet_has_state,
-)
+from repro.runtime.fleet import FleetError, serve_fleet, shard_spec
 from repro.runtime.lock import LockHeldError, OwnerLock
-from repro.runtime.ring import HashRing
+from repro.runtime.ring import shard_of
 from repro.runtime.service import (
     MonitorService,
     ReplayReport,
@@ -63,7 +56,13 @@ from repro.runtime.service import (
     detector_from_release,
     stage_release,
 )
-from repro.runtime.session import ServeSession, SessionSpec
+from repro.runtime.session import (
+    ServeJob,
+    ServeSession,
+    SessionSpec,
+    ShardOutcome,
+    serve_shard,
+)
 from repro.runtime.store import ArtifactStore, Release, StoreError
 from repro.runtime.wal import (
     WalCorruptionError,
@@ -76,31 +75,30 @@ __all__ = [
     "AdaptationController",
     "ArtifactStore",
     "Checkpoint",
-    "FleetConfig",
-    "FleetCoordinator",
-    "FleetDrainReport",
     "FleetError",
-    "HashRing",
     "LockHeldError",
     "MonitorService",
     "OwnerLock",
     "Release",
     "ReplayReport",
-    "ServiceConfig",
+    "ServeJob",
     "ServeSession",
+    "ServiceConfig",
     "ServiceError",
     "SessionSpec",
-    "ShardDrain",
+    "ShardOutcome",
     "StoreError",
     "TickResult",
     "WalCorruptionError",
     "WalRecord",
     "WriteAheadLog",
-    "bootstrap_fleet",
     "detector_from_release",
-    "fleet_has_state",
     "poison_detector",
     "read_checkpoint",
+    "serve_fleet",
+    "serve_shard",
+    "shard_of",
+    "shard_spec",
     "stage_release",
     "write_checkpoint",
 ]

@@ -1,29 +1,33 @@
-"""Consistent-hash ring mapping devices to fleet shards.
+"""Which fleet shard serves a device: a pure function of host and count.
 
-The fleet coordinator (:mod:`repro.runtime.fleet`) is shared-nothing:
-each shard's worker process owns the ring buffers, WAL and checkpoints
-for *its* devices only, so the device→shard assignment must be
+Each shard of a fleet (:mod:`repro.runtime.fleet`) owns whole devices —
+their trace files, WAL and checkpoints — so the device→shard assignment
+must be
 
-* **deterministic** — the same device string maps to the same shard in
-  every process and every run (the routing is part of the replay
-  contract), which rules out Python's builtin ``hash`` (salted per
-  process via ``PYTHONHASHSEED``); points come from BLAKE2b instead;
-* **balanced** — with a few dozen virtual nodes per shard the busiest
-  shard carries only a bounded multiple of the idlest one's devices;
-* **stable under membership change** — adding or removing one shard
-  remaps only ~1/N of the devices (the classic consistent-hashing
-  property), so a rebalance does not re-warm the whole fleet.
+* **deterministic** — the same host maps to the same shard in every
+  process and every run (the routing is part of the replay contract),
+  which rules out Python's builtin ``hash`` (salted per process via
+  ``PYTHONHASHSEED``); points come from BLAKE2b instead;
+* **balanced** — with 64 virtual nodes per shard the busiest shard
+  carries only a bounded multiple of the idlest one's devices.
+
+:func:`shard_of` places each shard's virtual nodes on a 64-bit hash
+ring and gives a host to the first node at or after the host's own
+point.  The fleet records its shard count once, so a fleet's split
+never changes; the ring only means that a different count would move
+about 1/N of the hosts, not all of them.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Tuple
 
-#: Virtual nodes per shard.  64 points keeps the max/min device-load
-#: ratio under ~2 for small fleets while the ring stays tiny.
-DEFAULT_REPLICAS = 64
+#: Virtual nodes per shard.  Part of the routing contract: every
+#: existing fleet directory's split depends on it.
+REPLICAS = 64
 
 
 def _point(key: str) -> int:
@@ -32,69 +36,31 @@ def _point(key: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-class HashRing:
-    """A consistent-hash ring over integer shard ids.
+@functools.lru_cache(maxsize=None)
+def _ring(shards: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The ring's sorted points and the shard owning each.
 
-    Attributes:
-        replicas: virtual nodes placed on the ring per shard.
+    Two shards tied at one point sort by shard id, so the lower id
+    owns it.
     """
-
-    def __init__(
-        self,
-        shards: Iterable[int] = (),
-        replicas: int = DEFAULT_REPLICAS,
-    ) -> None:
-        if replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        self.replicas = int(replicas)
-        self._points: List[Tuple[int, int]] = []
-        self._shards: "set[int]" = set()
-        for shard in shards:
-            self.add(shard)
-
-    @property
-    def shards(self) -> Tuple[int, ...]:
-        """The current shard membership, sorted."""
-        return tuple(sorted(self._shards))
-
-    def __len__(self) -> int:
-        return len(self._shards)
-
-    def __contains__(self, shard: int) -> bool:
-        return int(shard) in self._shards
-
-    def add(self, shard: int) -> None:
-        """Place ``shard``'s virtual nodes on the ring."""
-        shard = int(shard)
-        if shard in self._shards:
-            raise ValueError(f"shard {shard} is already on the ring")
-        self._shards.add(shard)
-        for replica in range(self.replicas):
-            point = _point(f"shard:{shard}:{replica}")
-            # Ties between shards at one point are broken by shard id
-            # (the tuple ordering) so insertion order never matters.
-            bisect.insort(self._points, (point, shard))
-
-    def remove(self, shard: int) -> None:
-        """Remove ``shard``'s virtual nodes from the ring."""
-        shard = int(shard)
-        if shard not in self._shards:
-            raise ValueError(f"shard {shard} is not on the ring")
-        self._shards.discard(shard)
-        self._points = [p for p in self._points if p[1] != shard]
-
-    def assign(self, device: str) -> int:
-        """The shard owning ``device``: first point at/after its hash."""
-        if not self._points:
-            raise ValueError("cannot assign on an empty ring")
-        index = bisect.bisect_left(self._points, (_point(device), -1))
-        if index == len(self._points):
-            index = 0  # wrap around the ring
-        return self._points[index][1]
-
-    def table(self, devices: Sequence[str]) -> Dict[str, int]:
-        """Assignments for a batch of devices (one dict lookup later)."""
-        return {device: self.assign(device) for device in devices}
+    nodes = sorted(
+        (_point(f"shard:{shard}:{replica}"), shard)
+        for shard in range(shards)
+        for replica in range(REPLICAS)
+    )
+    return (
+        tuple(point for point, _ in nodes),
+        tuple(shard for _, shard in nodes),
+    )
 
 
-__all__ = ["DEFAULT_REPLICAS", "HashRing"]
+def shard_of(host: str, shards: int) -> int:
+    """The shard in ``0..shards-1`` that serves ``host``."""
+    if shards < 1:
+        raise ValueError(f"a fleet needs at least one shard, got {shards}")
+    points, owners = _ring(shards)
+    index = bisect.bisect_left(points, _point(host))
+    return owners[index % len(points)]  # past the last point: wrap
+
+
+__all__ = ["REPLICAS", "shard_of"]

@@ -3,9 +3,10 @@
 The paper's runtime is one loop: syslog in, per-device scores and
 clustered warnings out.  :class:`ServeSession` is that loop around one
 :class:`~repro.runtime.service.MonitorService`, with its RCA engine,
-crash drill and CSV sinks.  Single-shard ``serve`` runs one session
-in-process; every fleet worker runs one behind the pipe protocol
-(:mod:`repro.runtime.fleet`).
+crash drill and CSV sinks, and :func:`serve_shard` is one whole run of
+it: open, recover, read the shard's own vPE files, drain, close.
+Single-shard ``serve`` calls it in-process; every fleet worker calls it
+in its own process (:mod:`repro.runtime.fleet`).
 """
 
 from __future__ import annotations
@@ -13,13 +14,16 @@ from __future__ import annotations
 import contextlib
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, TextIO
+from typing import Callable, Dict, Optional, Sequence, TextIO
 
 from repro import telemetry
 from repro.logs.message import SyslogMessage
+from repro.logs.trace import TraceError, read_feed
 from repro.rca import DEFAULT_CLUSTER_GAP, IncidentReport, RcaEngine, incident_row
+from repro.runtime.adapt import AdaptationController, AdaptConfig
 from repro.runtime.blas import limited_blas_threads
 from repro.runtime.lock import LockHeldError
+from repro.runtime.ring import shard_of
 from repro.runtime.service import (
     FAULT_AFTER_WAL_APPEND,
     MonitorService,
@@ -32,14 +36,12 @@ from repro.runtime.store import StoreError
 from repro.runtime.wal import WalCorruptionError
 from repro.topology import FleetTopology, TopologyError
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.adapt import AdaptationController
-
 #: Operator-facing errors a session can raise on bad state or input:
 #: ``serve`` reports them in one line and exits 2, and a fleet worker
 #: forwards them to its coordinator as an ``error`` frame.
 SESSION_ERRORS = (
-    ServiceError, StoreError, WalCorruptionError, LockHeldError, TopologyError,
+    ServiceError, StoreError, WalCorruptionError, LockHeldError,
+    TopologyError, TraceError,
 )
 
 
@@ -272,7 +274,7 @@ class ServeSession:
     def __init__(
         self,
         spec: SessionSpec,
-        controller: Optional["AdaptationController"] = None,
+        controller: Optional[AdaptationController] = None,
     ) -> None:
         self.spec = spec
         rca = None
@@ -393,11 +395,130 @@ class ServeSession:
         self.n_incidents += len(reports)
 
 
+@dataclass(frozen=True)
+class ServeJob:
+    """What :func:`serve_shard` does with an open session.
+
+    Attributes:
+        trace: trace directory whose vPE files are the feed (``None``:
+            recover and checkpoint only).
+        read: how the shard reads its feed from ``trace``: called with
+            the directory and a filter accepting the shard's vPEs.
+        tick_size: messages per tick; ``adaptive`` resizes from there
+            (see :func:`adaptive_ticker`).
+        max_ticks: stop after this many live ticks.
+        replay: recover prior state first; without it, prior state is
+            refused rather than ingested over.
+        adapt: run a drift-adaptation controller with this config.
+    """
+
+    trace: Optional[str] = None
+    read: Callable[
+        [str, Optional[Callable[[str], bool]]], Sequence[SyslogMessage]
+    ] = read_feed
+    tick_size: int = 256
+    adaptive: bool = False
+    max_ticks: Optional[int] = None
+    replay: bool = False
+    adapt: Optional[AdaptConfig] = None
+
+
+@dataclass(frozen=True)
+class ShardOutcome:
+    """How one :func:`serve_shard` run ended.  Plain numbers, so a
+    fleet worker sends it to its coordinator as a JSON frame.
+
+    Attributes:
+        exit_code: 0 when the shard served its feed, 3 when it crashed.
+        crashed_at: journal sequence of the simulated crash, if any.
+        recovered: the replay's ``checkpoint_cursor``, ``ticks``,
+            ``messages`` and ``swaps``, when the run recovered.
+        live_ticks: ticks served from the feed this run.
+        warnings, incidents: written this run, replayed ones included.
+        swaps, rollbacks: the adaptation controller's, if one ran.
+    """
+
+    exit_code: int = 0
+    crashed_at: Optional[int] = None
+    recovered: Optional[Dict[str, int]] = None
+    live_ticks: int = 0
+    warnings: int = 0
+    incidents: int = 0
+    swaps: int = 0
+    rollbacks: int = 0
+
+
+def serve_shard(
+    spec: SessionSpec,
+    job: ServeJob,
+    shards: int = 1,
+    ready: Callable[[], None] = lambda: None,
+) -> ShardOutcome:
+    """One shard's whole serve: open, recover, read, drain, close.
+
+    A session whose ``spec.shard`` is set reads only the vPE files
+    :func:`~repro.runtime.ring.shard_of` gives it among ``shards``.
+    ``ready`` runs once the session is open and recovered and the feed
+    is read, just before the first live tick; a fleet worker reports
+    there and waits for every other shard.  A simulated crash ends the
+    session like a dead process (exit code 3); any other exception
+    abandons it, so no checkpoint covers state this run did not apply.
+    """
+    controller = None if job.adapt is None else AdaptationController(job.adapt)
+    session = ServeSession(spec, controller)
+    recovered = None
+    try:
+        if session.has_state and not job.replay:
+            raise ServiceError(
+                f"{spec.service.data_dir} has prior service state; rerun "
+                "with --replay to recover it (refusing to ingest blind)"
+            )
+        if job.replay:
+            report = session.recover()
+            recovered = {
+                "checkpoint_cursor": report.checkpoint_cursor,
+                "ticks": report.ticks_replayed,
+                "messages": report.messages_replayed,
+                "swaps": report.swaps_replayed,
+            }
+        feed: Sequence[SyslogMessage] = []
+        if job.trace is not None:
+            feed = job.read(job.trace, None if spec.shard is None else (
+                lambda vpe: shard_of(vpe, shards) == spec.shard
+            ))
+        ready()
+        live_ticks = session.drain(
+            feed, job.tick_size, job.adaptive, job.max_ticks
+        )
+        session.close()
+    except SimulatedCrash as crash:
+        # No close(), no final checkpoint: the next run must recover
+        # from the WAL exactly like after a real crash.
+        session.crash()
+        return ShardOutcome(
+            exit_code=3, crashed_at=crash.args[0], recovered=recovered
+        )
+    except BaseException:
+        session.abandon()
+        raise
+    return ShardOutcome(
+        recovered=recovered,
+        live_ticks=live_ticks,
+        warnings=session.n_warnings,
+        incidents=session.n_incidents,
+        swaps=0 if controller is None else controller.swaps,
+        rollbacks=0 if controller is None else controller.rollbacks,
+    )
+
+
 __all__ = [
     "SESSION_ERRORS",
     "AdaptiveTicker",
+    "ServeJob",
     "ServeSession",
     "SessionSpec",
+    "ShardOutcome",
     "SimulatedCrash",
     "adaptive_ticker",
+    "serve_shard",
 ]

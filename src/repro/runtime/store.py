@@ -52,7 +52,7 @@ class Release:
     metadata: Dict[str, object]
 
 
-def _atomic_write(path: pathlib.Path, data: bytes) -> None:
+def atomic_write(path: pathlib.Path, data: bytes) -> None:
     """Write ``data`` to ``path`` via a same-directory temp + replace."""
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as handle:
@@ -97,7 +97,7 @@ class ArtifactStore:
         path = self._blob_path(digest)
         if not path.exists():
             path.parent.mkdir(parents=True, exist_ok=True)
-            _atomic_write(path, data)
+            atomic_write(path, data)
         return digest
 
     def object_path(self, digest: str) -> pathlib.Path:
@@ -176,11 +176,11 @@ class ArtifactStore:
             "artifacts": digests,
             "metadata": dict(metadata or {}),
         }
-        _atomic_write(
+        atomic_write(
             self._manifest_path(release_id),
             json.dumps(manifest, indent=2, sort_keys=True).encode(),
         )
-        _atomic_write(
+        atomic_write(
             self.directory / _CURRENT, str(release_id).encode()
         )
         self._retain()
@@ -208,8 +208,8 @@ class ArtifactStore:
 
     # -- rollback / retention -------------------------------------------
 
-    def rollback(self) -> Release:
-        """Flip ``CURRENT`` back to the previous retained release."""
+    def previous_id(self) -> int:
+        """The retained release :meth:`rollback` would make current."""
         current_id = self.current_id()
         if current_id is None:
             raise StoreError("nothing published; cannot roll back")
@@ -218,8 +218,12 @@ class ArtifactStore:
             raise StoreError(
                 f"release {current_id} has no retained predecessor"
             )
-        target = older[-1]
-        _atomic_write(self.directory / _CURRENT, str(target).encode())
+        return older[-1]
+
+    def rollback(self) -> Release:
+        """Flip ``CURRENT`` back to the previous retained release."""
+        target = self.previous_id()
+        atomic_write(self.directory / _CURRENT, str(target).encode())
         registry = telemetry.default_registry()
         registry.counter("runtime.store.rollbacks").inc()
         registry.gauge("runtime.store.current_release").set(target)
@@ -248,4 +252,4 @@ class ArtifactStore:
                     blob.unlink()
 
 
-__all__ = ["ArtifactStore", "Release", "StoreError"]
+__all__ = ["ArtifactStore", "Release", "StoreError", "atomic_write"]

@@ -5,18 +5,19 @@ Runs the reduced fleet benchmark (1-vs-4 shards at a sub-4k and a
 
 * aggregate throughput scaling at the 4k+ device / 4-shard point.
   Shards are OS processes, so the bound is hardware-dependent: with
-  4+ cores the ISSUE's >= 2.5x criterion is pinned directly; below
+  4+ cores the >= 2.5x scaling target is pinned directly; below
   that the gate pins the single-core floor instead — sharding still
   wins serially at high device counts because each shard's ring-
   buffer working set shrinks to cache size (measured 1.5x at 4096+
   devices on a 1-core host);
 * the small-fleet regime must not regress into pathology: 4 shards
-  at 512 devices may be slower than 1 (process + routing overhead),
-  but never catastrophically so;
+  at 512 devices may be slower than 1 (a process, a service open and
+  a checkpoint per shard), but never catastrophically so;
 * the drill's correctness invariants: the crash kills exactly the
-  victim, survivors finish their backlogs, restart replays the WAL,
-  and the per-shard score CSVs reach exact row parity with an
-  uninterrupted baseline (zero dropped, zero double-scored).
+  victim, survivors score their whole feeds, the replay rerun
+  replays the victim's WAL, and the per-shard score CSVs reach exact
+  row parity with an uninterrupted baseline (zero dropped, zero
+  double-scored).
 
 Deselected by default via ``addopts = '-m "not perf"'``.
 """
@@ -34,7 +35,7 @@ _BENCH_DIR = (
 if str(_BENCH_DIR) not in sys.path:
     sys.path.insert(0, str(_BENCH_DIR))
 
-#: The ISSUE acceptance bound, asserted when the hardware can express
+#: The parallel scaling bound, asserted when the hardware can express
 #: it (4 shards cannot run in parallel on fewer than 4 cores).
 MIN_SCALING_PARALLEL = 2.5
 
@@ -42,8 +43,8 @@ MIN_SCALING_PARALLEL = 2.5
 #: cache-locality win alone.  Measured ~1.5x; 1.15 absorbs CI noise.
 MIN_SCALING_SERIAL = 1.15
 
-#: 4 shards at few devices pay process + routing overhead with no
-#: cache win to offset it; bound the damage rather than ban it.
+#: 4 shards at few devices pay per-process overhead with no cache
+#: win to offset it; bound the damage rather than ban it.
 MIN_SCALING_SMALL_FLEET = 0.6
 
 

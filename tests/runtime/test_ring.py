@@ -1,11 +1,11 @@
-"""Consistent-hash ring: determinism, balance, minimal movement.
+"""The fleet's host split: determinism, balance, minimal movement.
 
-The ring is the fleet's routing contract: the coordinator, every
-worker and every replayed journal must agree on device -> shard with
-no shared state.  That only holds if assignment is a pure function of
-(device, membership) — stable across processes and interpreter runs
-(blake2b, never ``hash()``), roughly balanced at fleet scale, and
-moving only ~1/N of devices when membership changes by one shard.
+``shard_of`` is the fleet's routing contract: every worker reads only
+the vPE files it owns, and a reopened fleet directory must give each
+shard the hosts whose WAL and checkpoints it holds.  That only holds if
+the assignment is a pure function of (host, shard count) — stable
+across processes and interpreter runs (BLAKE2b, never ``hash()``) and
+equal to the consistent-hash ring earlier fleets were built with.
 """
 
 import subprocess
@@ -13,72 +13,38 @@ import sys
 
 import pytest
 
-from repro.runtime.ring import DEFAULT_REPLICAS, HashRing
+from repro.runtime import ring
+from repro.runtime.ring import shard_of
 
 
 def fleet(n):
     return [f"vpe{i:05d}" for i in range(n)]
 
 
+def table(devices, shards):
+    return {device: shard_of(device, shards) for device in devices}
+
+
 class TestMembership:
-    def test_starts_empty(self):
-        ring = HashRing()
-        assert len(ring) == 0
-        assert ring.shards == ()
-
-    def test_constructor_seeds_shards(self):
-        ring = HashRing(shards=(2, 0, 1))
-        assert ring.shards == (0, 1, 2)
-        assert 1 in ring
-        assert 7 not in ring
-
-    def test_add_duplicate_raises(self):
-        ring = HashRing(shards=(0,))
-        with pytest.raises(ValueError, match="already"):
-            ring.add(0)
-
-    def test_remove_absent_raises(self):
-        ring = HashRing(shards=(0,))
-        with pytest.raises(ValueError, match="not on"):
-            ring.remove(3)
-
     def test_assign_on_empty_ring_raises(self):
-        with pytest.raises(ValueError, match="empty"):
-            HashRing().assign("vpe00000")
-
-    def test_remove_then_add_restores_assignments(self):
-        ring = HashRing(shards=(0, 1, 2))
-        before = ring.table(fleet(200))
-        ring.remove(1)
-        ring.add(1)
-        assert ring.table(fleet(200)) == before
+        with pytest.raises(ValueError, match="at least one shard"):
+            shard_of("vpe00000", 0)
 
 
 class TestDeterminism:
     def test_same_membership_same_assignment(self):
-        a = HashRing(shards=(0, 1, 2, 3))
-        b = HashRing(shards=(3, 2, 1, 0))
         devices = fleet(500)
-        assert a.table(devices) == b.table(devices)
-
-    def test_insertion_order_irrelevant(self):
-        a = HashRing()
-        for shard in (0, 1, 2):
-            a.add(shard)
-        b = HashRing()
-        for shard in (2, 0, 1):
-            b.add(shard)
-        assert a.table(fleet(300)) == b.table(fleet(300))
+        before = table(devices, 4)
+        ring._ring.cache_clear()  # a rebuilt ring assigns the same
+        assert table(devices, 4) == before
 
     def test_stable_across_processes(self):
         """A fresh interpreter (fresh PYTHONHASHSEED) must agree on
         every assignment — the property ``hash()`` would break."""
         devices = fleet(64)
-        local = HashRing(shards=(0, 1, 2, 3))
         script = (
-            "from repro.runtime.ring import HashRing\n"
-            "ring = HashRing(shards=(0, 1, 2, 3))\n"
-            "print(' '.join(str(ring.assign(f'vpe{i:05d}')) "
+            "from repro.runtime.ring import shard_of\n"
+            "print(' '.join(str(shard_of(f'vpe{i:05d}', 4)) "
             "for i in range(64)))\n"
         )
         out = subprocess.run(
@@ -88,44 +54,38 @@ class TestDeterminism:
             check=True,
         ).stdout
         remote = [int(token) for token in out.split()]
-        assert remote == [local.assign(d) for d in devices]
+        assert remote == [shard_of(d, 4) for d in devices]
+
+    def test_paper_fleet_split_is_pinned(self):
+        """The 16-vPE paper fleet over two shards, as every fleet
+        directory written so far routes it: changing the hash, the
+        vnode count or the tie rule would strand their histories."""
+        owned = [
+            f"vpe{i:02d}" for i in range(16) if shard_of(f"vpe{i:02d}", 2)
+        ]
+        assert owned == [
+            "vpe00", "vpe02", "vpe04", "vpe09", "vpe10", "vpe12", "vpe13",
+        ]
 
 
 class TestBalance:
     def test_10k_devices_bounded_spread(self):
         """At fleet scale, vnode smoothing keeps the busiest shard
         within a small factor of the idlest (and nobody empty)."""
-        ring = HashRing(shards=range(4))
-        counts = {shard: 0 for shard in ring.shards}
+        counts = {shard: 0 for shard in range(4)}
         for device in fleet(10_000):
-            counts[ring.assign(device)] += 1
+            counts[shard_of(device, 4)] += 1
         assert sum(counts.values()) == 10_000
         assert min(counts.values()) > 0
         assert max(counts.values()) / min(counts.values()) < 2.0
-
-    def test_replicas_smooth_the_spread(self):
-        """More vnodes -> tighter balance; 1 vnode/shard is lumpy."""
-
-        def spread(replicas):
-            ring = HashRing(shards=range(4), replicas=replicas)
-            counts = {shard: 0 for shard in ring.shards}
-            for device in fleet(10_000):
-                counts[ring.assign(device)] += 1
-            return max(counts.values()) / max(min(counts.values()), 1)
-
-        assert spread(DEFAULT_REPLICAS) <= spread(1)
 
 
 class TestMinimalMovement:
     def test_join_moves_about_one_nth(self):
         devices = fleet(10_000)
-        ring = HashRing(shards=(0, 1, 2))
-        before = ring.table(devices)
-        ring.add(3)
-        after = ring.table(devices)
-        moved = sum(
-            1 for d in devices if before[d] != after[d]
-        )
+        before = table(devices, 3)
+        after = table(devices, 4)
+        moved = sum(1 for d in devices if before[d] != after[d])
         # Ideal is 1/4 of devices; allow generous slack either way
         # but far below the ~3/4 a mod-N scheme would reshuffle.
         assert 0.10 < moved / len(devices) < 0.45
@@ -137,12 +97,10 @@ class TestMinimalMovement:
 
     def test_leave_moves_only_the_leavers_devices(self):
         devices = fleet(10_000)
-        ring = HashRing(shards=(0, 1, 2, 3))
-        before = ring.table(devices)
-        ring.remove(2)
-        after = ring.table(devices)
+        before = table(devices, 4)
+        after = table(devices, 3)
         for device in devices:
-            if before[device] != 2:
+            if before[device] != 3:
                 assert after[device] == before[device]
             else:
-                assert after[device] != 2
+                assert after[device] != 3

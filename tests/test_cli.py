@@ -8,6 +8,7 @@ import csv
 import json
 import os
 import pathlib
+import shutil
 from collections import Counter
 
 import pytest
@@ -289,8 +290,8 @@ class TestParser:
 
 class TestFleetServe:
     """``serve --shards N``: the fleet runtime from the CLI, including
-    the kill-one-shard drill CI's ``fleet-e2e`` job scripts: crash a
-    shard mid-drain (exit 3), restart with ``--replay``, and expect
+    the kill drill CI's ``fleet-e2e`` job scripts: crash every shard
+    after a few ticks (exit 3), restart with ``--replay``, and expect
     the unioned per-shard CSVs to match an uninterrupted fleet's."""
 
     SERVE_ARGS = [
@@ -312,16 +313,6 @@ class TestFleetServe:
         for path in sorted(base.parent.glob(base.name + ".shard*")):
             merged.update(path.read_text().splitlines())
         return merged
-
-    @staticmethod
-    def busiest_shard():
-        from repro.runtime.ring import HashRing
-
-        ring = HashRing(shards=(0, 1, 2))
-        loads = {shard: 0 for shard in ring.shards}
-        for host in ("vpe00", "vpe01", "vpe02"):
-            loads[ring.assign(host)] += 1
-        return max(loads, key=loads.get)
 
     def test_fleet_run_scores_whole_feed(
         self, workflow, tmp_path, capsys
@@ -346,13 +337,11 @@ class TestFleetServe:
         assert self.serve(
             workflow, tmp_path / "a", "--scores-out", str(baseline)
         ) == 0
-        victim = self.busiest_shard()
         assert self.serve(
             workflow, tmp_path / "b", "--scores-out", str(drilled),
-            "--kill-shard", str(victim),
-            "--after-ticks", "2",
+            "--kill-after-ticks", "2",
         ) == 3
-        assert "shards died mid-drain" in capsys.readouterr().err
+        assert "simulated crash" in capsys.readouterr().err
         assert self.serve(
             workflow, tmp_path / "b", "--scores-out", str(drilled),
             "--replay",
@@ -380,48 +369,80 @@ class TestFleetServe:
         ]) == 2
         assert "records 3 shards" in capsys.readouterr().err
 
-    def test_kill_knobs_must_pair(self, workflow, tmp_path, capsys):
-        assert self.serve(
-            workflow, tmp_path / "fleet", "--kill-shard", "1"
-        ) == 2
-        assert "go together" in capsys.readouterr().err
+    @staticmethod
+    def publish_second_release(workflow, data, shards):
+        from repro.cli import _load_detector
+        from repro.runtime.service import stage_release
+        from repro.runtime.store import ArtifactStore
 
-    def test_single_shard_drill_flag_refused(
-        self, workflow, tmp_path, capsys
-    ):
-        assert self.serve(
-            workflow, tmp_path / "fleet", "--kill-after-ticks", "2"
-        ) == 2
-        assert "--kill-shard" in capsys.readouterr().err
+        detector = _load_detector(workflow["model"])
+        for shard in shards:
+            store = ArtifactStore(data / f"shard-{shard:02d}" / "store")
+            stage_release(store, detector, 5.0)
+
+    @staticmethod
+    def current(data, shard):
+        return (data / f"shard-{shard:02d}" / "store" / "CURRENT").read_text()
 
     def test_rollback_refused_in_fleet_mode(
         self, workflow, tmp_path, capsys
     ):
-        assert self.serve(
-            workflow, tmp_path / "fleet", "--rollback"
-        ) == 2
-        assert "shard-NN" in capsys.readouterr().err
+        """A fleet rolls back all its stores or none: one shard without
+        an earlier release refuses the rollback before any store moves."""
+        data = tmp_path / "fleet"
+        assert self.serve(workflow, data, "--max-ticks", "2") == 0
+        self.publish_second_release(workflow, data, [0, 2])
+        capsys.readouterr()
+        assert main([
+            "serve", "--data-dir", str(data), "--shards", "3",
+            "--rollback",
+        ]) == 2
+        assert "shard-01/store: release 1 has no retained" in (
+            capsys.readouterr().err
+        )
+        assert [self.current(data, k) for k in range(3)] == ["2", "1", "2"]
+
+    def test_rollback_rolls_back_every_shard(
+        self, workflow, tmp_path, capsys
+    ):
+        data = tmp_path / "fleet"
+        assert self.serve(workflow, data, "--max-ticks", "2") == 0
+        self.publish_second_release(workflow, data, [0, 1, 2])
+        assert main([
+            "serve", "--data-dir", str(data), "--shards", "3",
+            "--rollback",
+        ]) == 0
+        assert capsys.readouterr().out.count("rolled back") == 3
+        assert [self.current(data, k) for k in range(3)] == ["1"] * 3
+        # the journaled rollback swaps replay, and the feed resumes
+        assert self.serve(workflow, data, "--replay") == 0
 
     def test_fleet_telemetry_out(self, workflow, tmp_path):
         out = tmp_path / "telemetry.json"
+        scores = tmp_path / "scores.csv"
         assert self.serve(
             workflow, tmp_path / "fleet",
-            "--telemetry-out", str(out),
+            "--telemetry-out", str(out), "--scores-out", str(scores),
         ) == 0
         snapshot = json.loads(out.read_text())
         counters = snapshot["counters"]
-        assert counters["fleet.messages_routed"] > 0
         # worker registries merged in: runtime totals span the fleet
-        assert counters["runtime.ticks"] == counters[
-            "fleet.ticks_routed"
-        ]
+        ticks = {tuple(row.split(",")[:2]) for row in self.rows(scores)}
+        assert counters["runtime.ticks"] == len(ticks) > 0
+        assert counters["fleet.shard_deaths"] == 0
         assert snapshot["gauges"]["fleet.shards"] == 3
+
+
+#: ``TestServeErrors`` cases the fleet coordinator refuses itself,
+#: before any worker starts.
+WHOLE_FLEET_CASES = ("foreign-lock", "bad-shard-count", "bad-topology")
 
 
 class TestServeErrors:
     """Bad on-disk state or input ends ``serve`` with a one-line reason
     and exit 2 in both modes: no traceback from the CLI, and none from
-    a fleet worker either."""
+    a fleet worker either.  A bad trace reaches a fleet as a shard's
+    startup error, before any shard ingests."""
 
     SERVE_ARGS = [
         "--threshold", "4.0", "--tick-size", "64",
@@ -429,7 +450,7 @@ class TestServeErrors:
     ]
 
     @staticmethod
-    def corrupt(case, data, shards):
+    def corrupt(case, data, shards, trace):
         if case == "foreign-lock":
             # The parent process is alive and is not this one.
             (data / "LOCK").write_text(f"{os.getppid()}\n")
@@ -438,9 +459,25 @@ class TestServeErrors:
             wal = WriteAheadLog(root / "wal")
             wal.append(wal.last_sequence + 1, b"\x99mystery bytes")
             wal.close()
-        elif case == "torn-ring":
-            with open(data / "ring.jsonl", "a") as handle:
-                handle.write('{"event":"jo')
+        elif case == "bad-shard-count":
+            (data / "SHARDS").write_text("2\x00")
+        elif case == "missing-file":
+            meta = json.loads((trace / "meta.json").read_text())
+            meta["vpes"].append("vpe99")
+            (trace / "meta.json").write_text(json.dumps(meta))
+        elif case in ("torn-line", "missing-field", "foreign-host"):
+            path = trace / "vpe00.jsonl"
+            lines = path.read_text().splitlines(keepends=True)
+            record = json.loads(lines[1])
+            if case == "torn-line":
+                lines[1] = lines[1][:17]
+            elif case == "missing-field":
+                del record["host"]
+                lines[1] = json.dumps(record) + "\n"
+            else:
+                record["host"] = "vpe01"
+                lines[1] = json.dumps(record) + "\n"
+            path.write_text("".join(lines))
 
     @pytest.mark.parametrize(
         "case, shards, reason",
@@ -449,23 +486,33 @@ class TestServeErrors:
             ("foreign-lock", 2, "held by live pid"),
             ("unknown-record", 1, "unrecognized journal record"),
             ("unknown-record", 2, "unrecognized journal record"),
-            ("torn-ring", 2, "malformed ring event"),
+            ("bad-shard-count", 2, "malformed shard count"),
             ("bad-topology", 1, "cannot read topology"),
             ("bad-topology", 2, "cannot read topology"),
+            ("torn-line", 1, "vpe00.jsonl:2: malformed JSON"),
+            ("torn-line", 2, "vpe00.jsonl:2: malformed JSON"),
+            ("missing-field", 1, "vpe00.jsonl:2: record has no 'host'"),
+            ("missing-field", 2, "vpe00.jsonl:2: record has no 'host'"),
+            ("missing-file", 1, "vPE 'vpe99' has no file vpe99.jsonl"),
+            ("missing-file", 2, "vPE 'vpe99' has no file vpe99.jsonl"),
+            ("foreign-host", 1, "vpe00.jsonl:2: host 'vpe01' is not"),
+            ("foreign-host", 2, "vpe00.jsonl:2: host 'vpe01' is not"),
         ],
     )
     def test_typed_error_exits_2_without_traceback(
         self, workflow, tmp_path, capfd, case, shards, reason
     ):
         data = tmp_path / "svc"
+        trace = tmp_path / "trace"
+        shutil.copytree(workflow["trace"], trace)
         serve = [
             "serve", "--data-dir", str(data),
-            "--trace", str(workflow["trace"]),
+            "--trace", str(trace),
             "--model", str(workflow["model"]),
             "--shards", str(shards), *self.SERVE_ARGS,
         ]
         assert main([*serve, "--max-ticks", "2"]) == 0
-        self.corrupt(case, data, shards)
+        self.corrupt(case, data, shards, trace)
         extra = ["--replay"]
         if case == "bad-topology":
             extra += [
@@ -476,12 +523,16 @@ class TestServeErrors:
         err = capfd.readouterr().err
         assert "Traceback" not in err
         assert reason in err
+        if shards > 1 and case not in WHOLE_FLEET_CASES:
+            # A shard's own state or trace: its worker's error frame.
+            assert "failed to start" in err
 
 
 class TestServeModesAgree:
-    """``serve`` and ``serve --shards 2`` run the same session per
-    shard, so they score every message bitwise-identically and raise
-    the same warnings; only the tick (and shard) columns differ."""
+    """``serve`` and ``serve --shards 2`` run the same shard function
+    per shard, so they score every message bitwise-identically and
+    raise the same warnings; only the tick (and shard) columns differ.
+    Incidents are per shard by design, so they are not compared."""
 
     @staticmethod
     def rows(base, shards):
@@ -497,7 +548,7 @@ class TestServeModesAgree:
             for line in path.read_text().splitlines()
         ]
 
-    def test_one_and_two_shards_agree(self, workflow, tmp_path):
+    def agree(self, workflow, tmp_path, *extra):
         scores, warnings = {}, {}
         for shards in (1, 2):
             scores_csv = tmp_path / f"scores{shards}.csv"
@@ -510,6 +561,7 @@ class TestServeModesAgree:
                 "--shards", str(shards),
                 "--scores-out", str(scores_csv),
                 "--warnings-out", str(warnings_csv),
+                *extra,
             ]) == 0
             # (repr(score), kept), without the tick and row index.
             scores[shards] = Counter(
@@ -522,6 +574,29 @@ class TestServeModesAgree:
         assert scores[1] == scores[2]
         assert warnings[1]
         assert warnings[1] == warnings[2]
+
+    def test_one_and_two_shards_agree(self, workflow, tmp_path):
+        self.agree(workflow, tmp_path)
+
+    @pytest.mark.parametrize("flags", ["auto-adapt", "rca"])
+    def test_one_and_two_shards_agree_under_flags(
+        self, workflow, tmp_path, flags
+    ):
+        """Each shard runs its own controller or RCA engine.  This trace
+        never drifts far enough for a swap in either mode, so the
+        controllers must observe without moving a score."""
+        if flags == "auto-adapt":
+            self.agree(workflow, tmp_path, "--auto-adapt", "--adapt-inline")
+            return
+        from repro.topology import TopologyConfig, generate_topology
+
+        meta, _, _ = read_trace(workflow["trace"])
+        topology = tmp_path / "topology.json"
+        generate_topology(meta["vpes"], TopologyConfig()).save(topology)
+        self.agree(
+            workflow, tmp_path, "--rca", "--topology", str(topology),
+            "--incidents-out", str(tmp_path / "incidents.csv"),
+        )
 
 
 @pytest.mark.skipif(

@@ -154,13 +154,13 @@ class TestFleetDocs:
 
     def test_fleet_flags_documented(self):
         section = self.section()
-        for flag in ("--shards", "--kill-shard", "--after-ticks"):
+        for flag in ("--shards", "--kill-after-ticks", "--replay"):
             assert flag in section, flag
 
     def test_fleet_mechanics_documented(self):
         section = self.section()
         for term in (
-            "ring.jsonl",
+            "SHARDS",
             "shard-NN/",
             "BENCH_fleet.json",
             "sort -u",
