@@ -219,9 +219,9 @@ def bench_storm(scale: RcaScale) -> Dict[str, float]:
     kept = np.ones(size, dtype=bool)
     engine = RcaEngine(topology=topology)
     elapsed: list = []
-    for index, tick in enumerate(ticks):
+    for tick in ticks:
         start = time.perf_counter()
-        engine.observe_tick(index, tick, scores, kept, 1.0)
+        engine.observe_tick(tick, scores, kept, 1.0)
         elapsed.append(time.perf_counter() - start)
     engine.flush()
     storm_med = statistics.median(elapsed[2:])

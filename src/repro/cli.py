@@ -44,7 +44,12 @@ from repro.evaluation.reporting import format_table
 from repro.logs.message import SyslogMessage
 from repro.logs.persistence import store_from_json, store_to_json
 from repro.logs.templates import TemplateStore
-from repro.logs.trace import merge_streams, read_streams, write_streams
+from repro.logs.trace import (
+    TraceError,
+    merge_streams,
+    read_streams,
+    write_streams,
+)
 from repro.rca import DEFAULT_CLUSTER_GAP
 from repro.runtime.adapt import AdaptConfig
 from repro.runtime.fleet import (
@@ -512,9 +517,14 @@ def _report(args: argparse.Namespace, outcome: ShardOutcome, prefix: str) -> Non
     if args.rca:
         print(f"{prefix}rca: {outcome.incidents} incident(s) closed this run")
     if args.auto_adapt:
+        abandoned = (
+            f"; {outcome.abandoned} fine-tune(s) abandoned at shutdown "
+            "(--replay relaunches it at its first live tick)"
+            if outcome.abandoned else ""
+        )
         print(
             f"{prefix}adaptation: {outcome.swaps} swap(s), "
-            f"{outcome.rollbacks} rollback(s) this run"
+            f"{outcome.rollbacks} rollback(s) this run{abandoned}"
         )
 
 
@@ -1001,9 +1011,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns the subcommand's exit code."""
+    """CLI entry point; returns the subcommand's exit code.
+
+    A malformed trace ends every command with its one-line
+    ``<path>:<line>: …`` reason and exit code 2.
+    """
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except TraceError as error:
+        print(str(error), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

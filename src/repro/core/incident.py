@@ -1,19 +1,12 @@
-"""Shared incident bookkeeping for anomaly clustering.
+"""Incidents: the fleet-level records of root-cause analysis.
 
-Three layers of the runtime accumulate "a burst of anomalies" state:
-the per-device warning clusters of
-:class:`~repro.core.online.OnlineMonitor`, the post-swap probation
-accounting of
-:class:`~repro.runtime.adapt.AdaptationController`, and the fleet
-incidents of :class:`~repro.rca.RcaEngine`.  Each used to keep its
-own ad-hoc tuples and counters; :class:`Incident` is the one
-structure they all share — a device set, the anomaly tick/time span,
-per-device peak scores, plain observation counters, and (for RCA) an
-attached :class:`CauseHypothesis`.
-
-Everything in an :class:`Incident` is plain JSON-serializable data
-(:meth:`Incident.to_state` / :meth:`Incident.from_state`), so it can
-ride service checkpoints unchanged.
+:class:`~repro.rca.RcaEngine` groups temporally co-occurring anomalies
+across devices into an :class:`Incident` — its device set, anomaly
+time span, per-device peak scores and anomaly count — and attaches a
+:class:`CauseHypothesis` when the incident closes.  Both are plain
+JSON-serializable data (:meth:`Incident.to_state` /
+:meth:`Incident.from_state`), so open incidents ride service
+checkpoints unchanged.
 """
 
 from __future__ import annotations
@@ -61,41 +54,22 @@ class CauseHypothesis:
 
 @dataclass
 class Incident:
-    """A burst of anomalies with its span, scores and attribution.
-
-    The structure is deliberately permissive: the monitor uses one
-    per device (``devices`` stays a singleton, ``times`` is the
-    prunable cluster), the adapt controller uses one as a plain
-    counter bundle (``n_anomalies``/``n_observed``/``n_ticks``), and
-    the RCA engine uses the full shape — multi-device span plus a
-    :class:`CauseHypothesis`.
+    """A burst of anomalies across devices, with its attribution.
 
     Attributes:
         devices: devices touched, in first-anomaly order.
-        times: anomaly timestamps retained for clustering (callers
-            may prune; counters below are never pruned).
         scores: per-device peak anomaly score.
         first_time: timestamp of the first recorded anomaly.
         last_time: timestamp of the newest recorded anomaly.
-        first_tick: service tick of the first recorded anomaly.
-        last_tick: service tick of the newest recorded anomaly.
-        n_anomalies: total anomalies recorded (monotonic).
-        n_observed: total scored observations folded in (probation
-            keeps kept-message counts here; monotonic).
-        n_ticks: ticks folded in via :meth:`observe_tick`.
+        n_anomalies: anomalies recorded.
         cause: the attributed root cause, once assigned.
     """
 
     devices: List[str] = field(default_factory=list)
-    times: List[float] = field(default_factory=list)
     scores: Dict[str, float] = field(default_factory=dict)
     first_time: Optional[float] = None
     last_time: Optional[float] = None
-    first_tick: Optional[int] = None
-    last_tick: Optional[int] = None
     n_anomalies: int = 0
-    n_observed: int = 0
-    n_ticks: int = 0
     cause: Optional[CauseHypothesis] = None
 
     @property
@@ -105,81 +79,28 @@ class Incident:
             return 0.0
         return max(self.scores.values())
 
-    def record(
-        self,
-        device: str,
-        time: float,
-        score: float,
-        tick: Optional[int] = None,
-    ) -> None:
+    def record(self, device: str, time: float, score: float) -> None:
         """Fold one anomaly into the incident."""
         if device not in self.scores:
             self.devices.append(device)
             self.scores[device] = float(score)
         elif score > self.scores[device]:
             self.scores[device] = float(score)
-        self.times.append(float(time))
         if self.first_time is None:
             self.first_time = float(time)
         self.last_time = float(time)
-        if tick is not None:
-            if self.first_tick is None:
-                self.first_tick = int(tick)
-            self.last_tick = int(tick)
         self.n_anomalies += 1
-
-    def prune(self, now: float, max_gap: float) -> None:
-        """Drop retained times that no longer chain to ``now``.
-
-        Implements the warning-cluster rule: an anomaly further than
-        ``max_gap`` behind the newest arrival leaves the cluster.
-        When the whole cluster expires the per-device peaks reset
-        too — a stale peak must not inflate the next cluster.
-        """
-        kept = [t for t in self.times if now - t <= max_gap]
-        if not kept:
-            self.scores = {key: 0.0 for key in self.scores}
-        self.times = kept
-
-    def observe_tick(self, anomalies: int, observed: int) -> None:
-        """Fold one tick's aggregate counts (probation bookkeeping)."""
-        self.n_anomalies += int(anomalies)
-        self.n_observed += int(observed)
-        self.n_ticks += 1
-
-    def anomaly_rate(self) -> float:
-        """Anomalies per kept observation (``n_observed`` floor 1)."""
-        return self.n_anomalies / max(1, self.n_observed)
-
-    def reset(self) -> None:
-        """Clear everything back to a fresh incident."""
-        self.devices = []
-        self.times = []
-        self.scores = {}
-        self.first_time = None
-        self.last_time = None
-        self.first_tick = None
-        self.last_tick = None
-        self.n_anomalies = 0
-        self.n_observed = 0
-        self.n_ticks = 0
-        self.cause = None
 
     def to_state(self) -> Dict[str, object]:
         """JSON-safe snapshot for checkpoints."""
         return {
             "devices": list(self.devices),
-            "times": [float(t) for t in self.times],
             "scores": {
                 key: float(value) for key, value in self.scores.items()
             },
             "first_time": self.first_time,
             "last_time": self.last_time,
-            "first_tick": self.first_tick,
-            "last_tick": self.last_tick,
             "n_anomalies": int(self.n_anomalies),
-            "n_observed": int(self.n_observed),
-            "n_ticks": int(self.n_ticks),
             "cause": (
                 None if self.cause is None else self.cause.to_state()
             ),
@@ -189,36 +110,16 @@ class Incident:
     def from_state(cls, state: Dict[str, object]) -> "Incident":
         """Rebuild from a :meth:`to_state` snapshot."""
         cause = state.get("cause")
+        first, last = state["first_time"], state["last_time"]
         return cls(
             devices=[str(d) for d in state["devices"]],
-            times=[float(t) for t in state["times"]],
             scores={
                 str(key): float(value)
                 for key, value in state["scores"].items()
             },
-            first_time=(
-                None
-                if state["first_time"] is None
-                else float(state["first_time"])
-            ),
-            last_time=(
-                None
-                if state["last_time"] is None
-                else float(state["last_time"])
-            ),
-            first_tick=(
-                None
-                if state["first_tick"] is None
-                else int(state["first_tick"])
-            ),
-            last_tick=(
-                None
-                if state["last_tick"] is None
-                else int(state["last_tick"])
-            ),
+            first_time=None if first is None else float(first),
+            last_time=None if last is None else float(last),
             n_anomalies=int(state["n_anomalies"]),
-            n_observed=int(state["n_observed"]),
-            n_ticks=int(state["n_ticks"]),
             cause=(
                 None
                 if cause is None

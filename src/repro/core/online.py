@@ -20,20 +20,20 @@ micro-batches, or through the offline ``detector.score`` path.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
+import numpy as np
+
 from repro import telemetry
 from repro.core.detector import LSTMAnomalyDetector
-from repro.core.incident import Incident
 from repro.core.stream import StreamBatch, StreamScorer
 from repro.logs.message import SyslogMessage
 from repro.timeutil import MINUTE
 
 #: Version of the dict layout produced by
 #: :meth:`OnlineMonitor.state_dict`; bumped on incompatible changes.
-MONITOR_STATE_VERSION = 1
+MONITOR_STATE_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -58,16 +58,18 @@ class WarningSignature:
 
 @dataclass
 class _DeviceState:
-    """Per-device anomaly history (contexts live in the scorer).
+    """One device's forming warning cluster (contexts live in the scorer).
 
-    The warning cluster itself — the prunable anomaly times and the
-    peak score — is a shared :class:`~repro.core.incident.Incident`
-    (a singleton-device one); the cooldown stays device-local.
+    Created at the device's first anomaly.
+
+    Attributes:
+        times: the cluster's anomaly times, oldest first.
+        peak: the cluster's highest score (0.0 while empty).
+        cooldown_until: no warning fires before this time.
     """
 
-    last_time: Optional[float] = None
-    last_score: Optional[float] = None
-    cluster: Incident = field(default_factory=Incident)
+    times: List[float] = field(default_factory=list)
+    peak: float = 0.0
     cooldown_until: float = 0.0
 
 
@@ -146,24 +148,18 @@ class OnlineMonitor:
     def state_dict(self) -> Dict[str, object]:
         """Every mutable field needed to reconstruct the monitor.
 
-        Covers the per-device warning-cluster state (recent anomaly
-        times, peaks, cooldowns), the observation counters, and —
-        nested under ``"scorer"`` — the streaming engine's ring-buffer
-        snapshot.  Everything except the scorer's numpy arrays is
-        plain JSON-serializable data.
+        Covers the per-device warning clusters (anomaly times, peak,
+        cooldown), the observation counters, and — nested under
+        ``"scorer"`` — the streaming engine's ring-buffer snapshot.
+        Everything except the scorer's numpy arrays is plain
+        JSON-serializable data.
         """
         return {
             "version": MONITOR_STATE_VERSION,
             "n_observed": int(self.n_observed),
             "n_anomalies": int(self.n_anomalies),
             "devices": {
-                host: {
-                    "last_time": state.last_time,
-                    "last_score": state.last_score,
-                    "recent_anomalies": list(state.cluster.times),
-                    "peak_score": state.cluster.peak_score,
-                    "cooldown_until": state.cooldown_until,
-                }
+                host: [list(state.times), state.peak, state.cooldown_until]
                 for host, state in self._devices.items()
             },
             "scorer": self.scorer.state_dict(),
@@ -188,16 +184,9 @@ class OnlineMonitor:
         self.n_anomalies = int(state["n_anomalies"])
         self._devices = {
             host: _DeviceState(
-                last_time=raw["last_time"],
-                last_score=raw["last_score"],
-                cluster=Incident(
-                    devices=[host],
-                    times=list(raw["recent_anomalies"]),
-                    scores={host: float(raw["peak_score"])},
-                ),
-                cooldown_until=float(raw["cooldown_until"]),
+                [float(t) for t in times], float(peak), float(cooldown)
             )
-            for host, raw in state["devices"].items()
+            for host, (times, peak, cooldown) in state["devices"].items()
         }
 
     def observe(
@@ -217,44 +206,34 @@ class OnlineMonitor:
         """Ingest a tick of messages across any number of devices.
 
         Scoring runs micro-batched (one fused forward per round of
-        the tick); warning clustering then replays the per-message
-        results in arrival order, so emitted warnings are identical
-        to observing each message individually.  In strict mode an
+        the tick); warning clustering then visits the tick's anomalies
+        in arrival order, so emitted warnings are identical to
+        observing each message individually.  In strict mode an
         out-of-order arrival raises before any message of the tick is
         ingested.
         """
         batch = self.scorer.observe_batch(messages)
         self.last_batch = batch
-        results: List[Optional[WarningSignature]] = []
-        scores = batch.scores
-        kept = batch.kept
-        anomalies_before = self.n_anomalies
+        results: List[Optional[WarningSignature]] = [None] * len(messages)
+        self.n_observed += int(np.count_nonzero(batch.kept))
+        # NaN (warm-up) scores never exceed the threshold.
+        anomalous = np.flatnonzero(batch.kept & (batch.scores > self.threshold))
         n_warnings = 0
-        for i, message in enumerate(messages):
-            if not kept[i]:
-                results.append(None)
-                continue
-            state = self._devices.setdefault(
-                message.host, _DeviceState()
+        for index in anomalous:
+            message = messages[index]
+            state = self._devices.get(message.host)
+            if state is None:
+                state = self._devices[message.host] = _DeviceState()
+            warning = self._register_anomaly(
+                state, message, float(batch.scores[index])
             )
-            self.n_observed += 1
-            raw = scores[i]
-            score = None if math.isnan(raw) else float(raw)
-            state.last_score = score
-            state.last_time = message.timestamp
-            if score is None or score <= self.threshold:
-                results.append(None)
-                continue
-            self.n_anomalies += 1
-            warning = self._register_anomaly(state, message, score)
             if warning is not None:
                 n_warnings += 1
-            results.append(warning)
+                results[index] = warning
+        self.n_anomalies += int(anomalous.size)
         if messages:
             registry = telemetry.default_registry()
-            registry.counter("stream.anomalies").inc(
-                self.n_anomalies - anomalies_before
-            )
+            registry.counter("stream.anomalies").inc(int(anomalous.size))
             registry.counter("stream.warnings_emitted").inc(n_warnings)
         return results
 
@@ -267,22 +246,27 @@ class OnlineMonitor:
         now = message.timestamp
         # Drop anomalies that no longer chain into the cluster (a
         # fully expired cluster takes its stale peak with it).
-        cluster = state.cluster
-        cluster.prune(now, self.cluster_max_gap)
-        cluster.record(message.host, now, score)
+        times = [t for t in state.times if now - t <= self.cluster_max_gap]
+        if not times:
+            state.peak = 0.0
+        times.append(now)
+        state.times = times
+        if score > state.peak:
+            state.peak = score
         if now < state.cooldown_until:
             return None
-        if len(cluster.times) < self.cluster_min_size:
+        if len(times) < self.cluster_min_size:
             return None
         state.cooldown_until = now + self.cooldown
         warning = WarningSignature(
             vpe=message.host,
             time=now,
-            first_anomaly=cluster.times[0],
-            n_anomalies=len(cluster.times),
-            peak_score=cluster.peak_score,
+            first_anomaly=times[0],
+            n_anomalies=len(times),
+            peak_score=state.peak,
         )
-        cluster.reset()
+        state.times = []
+        state.peak = 0.0
         return warning
 
     def run(

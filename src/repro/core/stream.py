@@ -43,7 +43,7 @@ from typing import Dict, List, Sequence
 #: Version of the dict layout produced by
 #: :meth:`StreamScorer.state_dict`; bumped on incompatible changes so
 #: stale checkpoints fail loudly instead of half-loading.
-SCORER_STATE_VERSION = 1
+SCORER_STATE_VERSION = 2
 
 import numpy as np
 
@@ -65,10 +65,13 @@ class StreamBatch:
             context is still warming up, and for dropped messages).
         kept: False where an out-of-order arrival was dropped
             (``strict_order=False`` only; always all-True otherwise).
+        ids: template id per input message, clamped to the detector's
+            vocabulary capacity (dropped messages included).
     """
 
     scores: np.ndarray
     kept: np.ndarray
+    ids: np.ndarray
 
 
 class StreamScorer:
@@ -104,7 +107,6 @@ class StreamScorer:
         self._qmodel: "QuantizedModel | None" = None
         self._qmodel_version = -1
         self.n_reordered = 0
-        self.n_scored = 0
         self._index: Dict[str, int] = {}
         self._hosts: List[str] = []
         # Ring buffers: row d holds device d's last `window` context
@@ -187,10 +189,6 @@ class StreamScorer:
         gather = (self._pos[row] + np.arange(self.window)) % self.window
         return self._contexts[row, gather]
 
-    def last_time_of(self, host: str) -> float:
-        """Newest accepted timestamp for ``host`` (NaN if none)."""
-        return float(self._last_time[self._index[host]])
-
     # -- checkpointable state -------------------------------------------
 
     def state_dict(self) -> Dict[str, object]:
@@ -207,23 +205,21 @@ class StreamScorer:
         return {
             "version": SCORER_STATE_VERSION,
             "window": self.window,
-            "strict_order": self.strict_order,
             "hosts": list(self._hosts),
             "contexts": self._contexts[:n].copy(),
             "pos": self._pos[:n].copy(),
             "fill": self._fill[:n].copy(),
             "last_time": self._last_time[:n].copy(),
             "n_reordered": int(self.n_reordered),
-            "n_scored": int(self.n_scored),
         }
 
     def load_state_dict(self, state: Dict[str, object]) -> None:
         """Restore a snapshot taken by :meth:`state_dict`.
 
         The scorer must have been built against a detector with the
-        same context window; everything else (device table, ring
-        buffers, ordering cursors, counters, strictness) is replaced
-        by the snapshot.
+        same context window; the device table, ring buffers, ordering
+        cursors and reorder count are replaced by the snapshot, while
+        constructor configuration (strictness, quantization) stays.
         """
         version = state.get("version")
         if version != SCORER_STATE_VERSION:
@@ -245,7 +241,6 @@ class StreamScorer:
                 f"snapshot contexts shape {contexts.shape} does not "
                 f"match {(n, window, 2)}"
             )
-        self.strict_order = bool(state["strict_order"])
         self._hosts = hosts
         self._index = {host: row for row, host in enumerate(hosts)}
         capacity = max(n, 1)
@@ -262,7 +257,6 @@ class StreamScorer:
             state["last_time"], dtype=np.float64
         )
         self.n_reordered = int(state["n_reordered"])
-        self.n_scored = int(state["n_scored"])
 
     # -- ingest ---------------------------------------------------------
 
@@ -280,7 +274,7 @@ class StreamScorer:
         scores = np.full(n, np.nan)
         kept = np.ones(n, dtype=bool)
         if n == 0:
-            return StreamBatch(scores, kept)
+            return StreamBatch(scores, kept, np.zeros(0, dtype=np.int64))
         detector = self.detector
         ids = detector.store.match_ids(messages)
         n_clamped = int(
@@ -346,7 +340,7 @@ class StreamScorer:
         kept_idx = np.flatnonzero(keep_sorted)
         if not kept_idx.size:
             self._publish_tick(n, n_dropped, 0, n_clamped, scores)
-            return StreamBatch(scores, kept)
+            return StreamBatch(scores, kept, ids)
 
         # Per kept arrival (still grouped by run, arrival order within
         # each run): its run, original position, rank within the run,
@@ -402,8 +396,8 @@ class StreamScorer:
         # arrival r of a run is ready when window prior tuples exist
         # (history fill plus earlier same-tick arrivals).
         ready = vpos >= window
-        n_scored_tick = int(np.count_nonzero(ready))
-        if n_scored_tick:
+        n_ready = int(np.count_nonzero(ready))
+        if n_ready:
             ready_runs = a_of[ready]
             wstart = vpos[ready] - window
             windows = buf[
@@ -420,7 +414,6 @@ class StreamScorer:
                 logits, tids_kept[ready]
             )
             scores[orig[ready]] = -likelihoods
-            self.n_scored += n_scored_tick
 
         # Write the rings back: the final min(window, fill + count)
         # tuples of each virtual sequence, at ring slots starting from
@@ -446,15 +439,15 @@ class StreamScorer:
             kstarts[active] + counts_act - 1
         ]
         self._publish_tick(
-            n, n_dropped, n_scored_tick, n_clamped, scores
+            n, n_dropped, n_ready, n_clamped, scores
         )
-        return StreamBatch(scores, kept)
+        return StreamBatch(scores, kept, ids)
 
     def _publish_tick(
         self,
         n_ingested: int,
         n_dropped: int,
-        n_scored: int,
+        scored: int,
         n_clamped: int,
         scores: np.ndarray,
     ) -> None:
@@ -469,7 +462,7 @@ class StreamScorer:
         registry.counter("stream.messages_ingested").inc(n_ingested)
         # Created even when zero so exported snapshots always carry the
         # full schema (the CI gate asserts on these by name).
-        registry.counter("stream.messages_scored").inc(n_scored)
+        registry.counter("stream.messages_scored").inc(scored)
         registry.counter("stream.n_reordered").inc(n_dropped)
         registry.counter("stream.unknown_clamped").inc(n_clamped)
         registry.histogram(

@@ -122,9 +122,8 @@ def message_to_dict(message: SyslogMessage) -> dict:
     """A JSON-ready dict for one message (trace files).
 
     The key set matches the ``trace/<vpe>.jsonl`` line format written
-    by the CLI.  The runtime WAL uses the positional
-    :func:`message_to_row` codec instead, which trades self-describing
-    keys for encode speed on the ingest hot path.
+    by the CLI.  The runtime journals ticks with the binary codec of
+    :mod:`repro.runtime.codec` instead.
     """
     return {
         "ts": message.timestamp,
@@ -166,33 +165,3 @@ def message_columns(
     )
     hosts = [message.host for message in messages]
     return times, hosts
-
-
-def message_to_row(message: SyslogMessage) -> list:
-    """A positional ``[ts, host, proc, sev, fac, text]`` JSON row.
-
-    The runtime WAL journals every ingested tick, so its codec sits on
-    the hot path; positional rows encode ~40% faster and ~30% smaller
-    than the keyed :func:`message_to_dict` form used by trace files.
-    """
-    return [
-        message.timestamp,
-        message.host,
-        message.process,
-        int(message.severity),
-        int(message.facility),
-        message.text,
-    ]
-
-
-def message_from_row(row: list) -> SyslogMessage:
-    """Rebuild a message from :func:`message_to_row` output."""
-    timestamp, host, process, severity, facility, text = row
-    return SyslogMessage(
-        timestamp=timestamp,
-        host=host,
-        process=process,
-        text=text,
-        severity=Severity(severity),
-        facility=Facility(facility),
-    )

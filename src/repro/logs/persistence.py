@@ -83,19 +83,12 @@ def store_from_json(document: Union[str, bytes]) -> TemplateStore:
         (template.process, template.signature): template.template_id
         for template in templates
     }
-    # Rebuild the signature tree so lookup() works: insert one
-    # representative per signature (wildcards render as placeholder
-    # tokens that re-wildcard on insertion is NOT guaranteed, so the
-    # leaf is seeded directly).
+    # Rebuild the signature tree so matching works: each signature is
+    # seeded straight into its leaf (re-inserting a rendering would
+    # not be guaranteed to wildcard the same positions).
     tree = store._tree
     for template in templates:
-        leaf = tree._leaf_for(
-            template.process,
-            [
-                token if token is not WILDCARD else "0"
-                for token in template.signature
-            ],
-        )
+        leaf = tree._leaf_for(template.process, template.signature)
         leaf.signatures.append(template.signature)
         leaf.supports.append(template.support)
     store._fitted = True

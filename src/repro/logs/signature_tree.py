@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.logs.message import SyslogMessage
@@ -55,14 +54,8 @@ def tokenize(text: str) -> List[str]:
     return text.split()
 
 
-@lru_cache(maxsize=65536)
 def is_variable_token(token: str) -> bool:
-    """Return True when a token is variable by shape (number, IP, ...).
-
-    Memoized: stable structural tokens dominate real syslog streams
-    and repeat endlessly, so caching the per-token regex verdict
-    removes most of the classification cost of ``transform``.
-    """
+    """Return True when a token is variable by shape (number, IP, ...)."""
     for pattern in _VARIABLE_PATTERNS:
         if pattern.match(token):
             return True
@@ -194,36 +187,28 @@ class SignatureTree:
         self.n_merged = 0
         self.n_new = 0
 
-    def _leaf_for(self, process: str, tokens: Sequence[str]) -> _Leaf:
-        level1 = self._tree.setdefault(len(tokens), {})
+    @staticmethod
+    def _key(process: str, presig: Signature) -> str:
+        """The level-2 key: the process and the first stable token."""
         first = next(
-            (tok for tok in tokens if not is_variable_token(tok)), ""
+            (entry for entry in presig if entry is not WILDCARD), ""
         )
-        key = f"{process}\x00{first}"
+        return f"{process}\x00{first}"
+
+    def _leaf_for(self, process: str, presig: Signature) -> _Leaf:
+        """The leaf a presignature (or signature) belongs in, created
+        if missing."""
+        level1 = self._tree.setdefault(len(presig), {})
+        key = self._key(process, presig)
         leaf = level1.get(key)
         if leaf is None:
-            leaf = _Leaf()
-            level1[key] = leaf
+            leaf = level1[key] = _Leaf()
         return leaf
 
     def insert(self, message: SyslogMessage) -> Signature:
         """Insert one message and return the signature it landed in."""
-        tokens = tokenize(message.text)
-        # Classify each token exactly once: the presignature wildcards
-        # the variable tokens, so the level-2 key (first stable token)
-        # falls out of it for free.
-        presig = _presignature(tokens)
-        first = ""
-        for tok, pre in zip(tokens, presig):
-            if pre is not WILDCARD:
-                first = tok
-                break
-        level1 = self._tree.setdefault(len(tokens), {})
-        key = f"{message.process}\x00{first}"
-        leaf = level1.get(key)
-        if leaf is None:
-            leaf = _Leaf()
-            level1[key] = leaf
+        presig = _presignature(tokenize(message.text))
+        leaf = self._leaf_for(message.process, presig)
         index, outcome = leaf.insert(presig, self.merge_threshold)
         self.n_inserted += 1
         if outcome == "new":
@@ -234,27 +219,11 @@ class SignatureTree:
             self.n_exact += 1
         return leaf.signatures[index]
 
-    def lookup(self, message: SyslogMessage) -> Optional[Signature]:
-        """Return the matching signature without modifying the tree."""
-        return self.lookup_presig(
-            message.process, _presignature(tokenize(message.text))
-        )
-
     def lookup_presig(
         self, process: str, presig: Signature
     ) -> Optional[Signature]:
-        """Look up an already-computed presignature (the hot path).
-
-        The level-2 key needs the first *stable* token, which is the
-        first non-wildcard presignature entry — no re-tokenization.
-        """
-        level1 = self._tree.get(len(presig))
-        if level1 is None:
-            return None
-        first = next(
-            (entry for entry in presig if entry is not WILDCARD), ""
-        )
-        leaf = level1.get(f"{process}\x00{first}")
+        """The signature matching a presignature; the tree is unchanged."""
+        leaf = self._tree.get(len(presig), {}).get(self._key(process, presig))
         if leaf is None:
             return None
         for signature in leaf.signatures:

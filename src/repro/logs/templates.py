@@ -9,7 +9,6 @@ store was fitted — exactly the situation after a software update).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -65,7 +64,7 @@ class TemplateStore:
     new message types introduced by software updates.
     """
 
-    #: Default capacity of the exact-string match memo.
+    #: Default capacity of the match memo.
     MEMO_CAPACITY = 100_000
 
     def __init__(
@@ -81,13 +80,15 @@ class TemplateStore:
         self._templates: List[Template] = []
         self._index: Dict[Tuple[str, Signature], int] = {}
         self._fitted = False
-        # Router logs repeat heavily (~99% of lines are re-emissions of
-        # a recent (process, text) pair), so an exact-string LRU in
-        # front of the signature-tree walk turns almost every match
-        # into one dict hit.  Invalidated whenever mining mutates the
-        # tree (fit/extend), since merging may re-route old strings.
+        # Match memo keyed by (process, presignature).  Raw texts differ
+        # in their variable tokens, but the presignature collapses those
+        # to wildcards, so its keys track the (small) template
+        # vocabulary rather than the message stream.  Cleared whenever
+        # mining mutates the tree (fit/extend), since merging may
+        # re-route old keys, and wholesale at ``memo_capacity`` (0: no
+        # memo).
         self._memo_capacity = memo_capacity
-        self._memo: "OrderedDict[Tuple[str, str], int]" = OrderedDict()
+        self._memo: Dict[Tuple[str, Signature], int] = {}
         self._memo_hits = 0
         self._memo_misses = 0
         # High-water marks of what has been published to the telemetry
@@ -97,11 +98,6 @@ class TemplateStore:
         self._published_inserted = 0
         self._published_new = 0
         self._published_merged = 0
-        # Second-level memo keyed by (process, presignature).  Raw
-        # texts differ in their variable tokens, but the presignature
-        # collapses those to wildcards, so distinct keys here track the
-        # (small) template vocabulary rather than the message stream.
-        self._presig_memo: Dict[Tuple[str, Signature], int] = {}
 
     @property
     def fitted(self) -> bool:
@@ -182,7 +178,6 @@ class TemplateStore:
                 )
             )
         self._memo.clear()
-        self._presig_memo.clear()
         rebuilt.sort(key=lambda template: template.template_id)
         # Re-number densely so vocabulary size equals template count + 1.
         self._templates = [
@@ -202,42 +197,30 @@ class TemplateStore:
     def match(self, message: SyslogMessage) -> int:
         """Map a message to its template id (0 when unknown).
 
-        Matching is memoized twice in front of the signature-tree
-        walk: an exact ``(process, text)`` LRU for verbatim re-logs,
-        then a ``(process, presignature)`` memo that collapses the
-        variable tokens and therefore hits on every re-instantiation
-        of a known template.  Both memos are dropped whenever
-        :meth:`fit`/:meth:`extend` mutate the tree.
+        Matching is memoized on ``(process, presignature)``, which hits
+        on every re-instantiation of a known template; the memo is
+        dropped whenever :meth:`fit`/:meth:`extend` mutate the tree.
         """
         if not self._fitted:
             raise RuntimeError("TemplateStore.match called before fit")
-        memo = self._memo
-        key = (message.process, message.text)
-        cached = memo.get(key)
-        if cached is not None:
+        key = (message.process, _presignature(tokenize(message.text)))
+        template_id = self._memo.get(key)
+        if template_id is not None:
             self._memo_hits += 1
-            memo.move_to_end(key)
-            return cached
+            return template_id
         self._memo_misses += 1
-        presig = _presignature(tokenize(message.text))
-        presig_key = (message.process, presig)
-        template_id = self._presig_memo.get(presig_key)
-        if template_id is None:
-            signature = self._tree.lookup_presig(message.process, presig)
-            if signature is None:
-                template_id = UNKNOWN_TEMPLATE_ID
-            else:
-                template_id = self._index.get(
-                    (message.process, signature), UNKNOWN_TEMPLATE_ID
-                )
-            if self._memo_capacity:
-                if len(self._presig_memo) >= self._memo_capacity:
-                    self._presig_memo.clear()
-                self._presig_memo[presig_key] = template_id
+        signature = self._tree.lookup_presig(*key)
+        template_id = (
+            UNKNOWN_TEMPLATE_ID
+            if signature is None
+            else self._index.get(
+                (message.process, signature), UNKNOWN_TEMPLATE_ID
+            )
+        )
         if self._memo_capacity:
-            memo[key] = template_id
-            if len(memo) > self._memo_capacity:
-                memo.popitem(last=False)
+            if len(self._memo) >= self._memo_capacity:
+                self._memo.clear()
+            self._memo[key] = template_id
         return template_id
 
     @property

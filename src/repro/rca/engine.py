@@ -43,7 +43,7 @@ from repro.topology.graph import FleetTopology, KIND_DEVICE
 
 #: Version key stamped into :meth:`RcaEngine.state_dict`; bumped on
 #: incompatible layout changes.
-RCA_STATE_VERSION = 1
+RCA_STATE_VERSION = 2
 
 #: Default quiet gap (seconds of stream time) after which an open
 #: incident closes and is attributed.
@@ -147,8 +147,6 @@ class RcaEngine:
         self._ancestry: Dict[str, frozenset] = {}
         self._next_id = 1
         self._watermark: Optional[float] = None
-        self._n_opened = 0
-        self._n_closed = 0
         self._opened_unpublished = 0
         self._drained: List[IncidentReport] = []
 
@@ -183,13 +181,7 @@ class RcaEngine:
 
     # -- the streaming path ----------------------------------------------
 
-    def ingest(
-        self,
-        device: str,
-        time: float,
-        score: float,
-        tick: Optional[int] = None,
-    ) -> None:
+    def ingest(self, device: str, time: float, score: float) -> None:
         """Fold one anomaly decision into the open incident set."""
         elements = self._ancestry_set(device)
         incident_id = self._device_incident.get(device)
@@ -200,7 +192,7 @@ class RcaEngine:
                 and incident.last_time is not None
                 and time - incident.last_time <= self.cluster_gap
             ):
-                incident.record(device, time, score, tick)
+                incident.record(device, time, score)
                 self._open_elements[incident_id].update(elements)
                 return
         if elements:
@@ -214,18 +206,17 @@ class RcaEngine:
                         self._open_elements[candidate_id]
                     )
                 ):
-                    incident.record(device, time, score, tick)
+                    incident.record(device, time, score)
                     self._open_elements[candidate_id].update(elements)
                     self._device_incident[device] = candidate_id
                     return
         incident = Incident()
-        incident.record(device, time, score, tick)
+        incident.record(device, time, score)
         incident_id = self._next_id
         self._next_id += 1
         self._open[incident_id] = incident
         self._open_elements[incident_id] = set(elements)
         self._device_incident[device] = incident_id
-        self._n_opened += 1
         self._opened_unpublished += 1
 
     def advance(self, watermark: float) -> List[IncidentReport]:
@@ -282,7 +273,6 @@ class RcaEngine:
             if self._device_incident.get(device) == incident_id:
                 del self._device_incident[device]
         incident.cause = self._attribute(incident)
-        self._n_closed += 1
         report = IncidentReport(
             incident_id=incident_id,
             incident=incident,
@@ -337,7 +327,6 @@ class RcaEngine:
 
     def observe_tick(
         self,
-        tick: int,
         messages: Sequence[SyslogMessage],
         scores: np.ndarray,
         kept: np.ndarray,
@@ -359,10 +348,7 @@ class RcaEngine:
             for index in anomalous:  # repro: hot-path
                 message = messages[index]
                 self.ingest(
-                    message.host,
-                    message.timestamp,
-                    float(scores[index]),
-                    tick,
+                    message.host, message.timestamp, float(scores[index])
                 )
                 if message.timestamp > watermark:
                     watermark = message.timestamp
@@ -417,8 +403,6 @@ class RcaEngine:
                 for incident_id, incident in self._open.items()
             ],
             "device_incident": dict(self._device_incident),
-            "n_opened": self._n_opened,
-            "n_closed": self._n_closed,
         }
 
     def load_state_dict(self, state: Dict[str, object]) -> None:
@@ -447,8 +431,6 @@ class RcaEngine:
         self._watermark = (
             None if raw_watermark is None else float(raw_watermark)
         )
-        self._n_opened = int(state["n_opened"])
-        self._n_closed = int(state["n_closed"])
         self._opened_unpublished = 0
         self._drained = []
 

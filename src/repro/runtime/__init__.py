@@ -11,7 +11,8 @@ in-memory streaming engine:
   store (weights + templates + thresholds as one atomic release,
   with rollback);
 * :mod:`repro.runtime.checkpoint` — atomic snapshot/restore of the
-  scorer ring buffers, monitor warning state and tick cursor;
+  scorer ring buffers, the forming warning clusters and the journal
+  cursor (a file this build cannot load is a ``CheckpointError``);
 * :mod:`repro.runtime.service` — the supervisor tying tick loop,
   WAL, checkpoint cadence, hot model swap and graceful shutdown
   together;
@@ -41,6 +42,7 @@ from repro.runtime.adapt import (
 )
 from repro.runtime.checkpoint import (
     Checkpoint,
+    CheckpointError,
     read_checkpoint,
     write_checkpoint,
 )
@@ -75,6 +77,7 @@ __all__ = [
     "AdaptationController",
     "ArtifactStore",
     "Checkpoint",
+    "CheckpointError",
     "FleetError",
     "LockHeldError",
     "MonitorService",

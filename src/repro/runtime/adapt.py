@@ -8,13 +8,15 @@ swap a model somebody trained elsewhere.  This module closes the loop
 at serve time:
 
 * an :class:`AdaptationController` rides along the service tick loop,
-  folding every scored tick's template-id counts into a frozen
-  *reference* distribution and a rolling *recent* window;
+  folding every scored tick's template-id counts (read from the
+  scorer, so no message is matched twice) into a frozen *reference*
+  distribution and a rolling *recent* window;
 * when the cosine similarity between the two stays below a threshold
   for K consecutive checks (the section 3.3 software-update signal),
   the controller fine-tunes the live model over a bounded replay
   window of recent ticks — inline, or in a background worker process
-  so ingest never stalls;
+  so ingest never stalls.  The window holds each tick's journal record
+  as the WAL stored it, decoded only when a fine-tune starts;
 * the student is published to the artifact store as a new release and
   hot-swapped at a tick boundary through the existing journaled swap,
   so crash replay stays bitwise identical;
@@ -37,6 +39,7 @@ the training.
 
 from __future__ import annotations
 
+import base64
 import multiprocessing
 import os
 from collections import deque
@@ -58,13 +61,7 @@ from repro.core.adaptation import (
     count_distribution_shift,
     transfer_adapt,
 )
-from repro.core.base import clamp_template_ids
-from repro.core.incident import Incident
-from repro.logs.message import (
-    SyslogMessage,
-    message_from_row,
-    message_to_row,
-)
+from repro.runtime.codec import decode_tick
 from repro.runtime.store import ArtifactStore, StoreError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -83,7 +80,7 @@ PHASE_COOLDOWN = "cooldown"
 AUTO_ADAPT_ORIGIN = "auto-adapt"
 
 #: Version of the controller's checkpointed state layout.
-ADAPT_STATE_VERSION = 1
+ADAPT_STATE_VERSION = 2
 
 #: CPU niceness the background fine-tune worker drops to.  Serving
 #: latency beats retraining latency: on a busy (or single-core) host
@@ -183,13 +180,41 @@ def poison_detector(detector: "LSTMAnomalyDetector") -> None:
     telemetry.counter("adapt.poisoned_releases").inc()
 
 
+def fine_tune(
+    store: ArtifactStore,
+    teacher: "LSTMAnomalyDetector",
+    records: Sequence[bytes],
+    threshold: float,
+    epochs: int,
+    poison: bool,
+    metadata: Dict[str, object],
+) -> int:
+    """Fine-tune ``teacher`` on journal tick records and publish it.
+
+    The one body of the inline and the background fine-tune: decode the
+    replay window's records, run transfer adaptation, poison the
+    student under the rollback drill, publish it with ``threshold``.
+    Returns the new release id.
+    """
+    from repro.runtime.service import stage_release
+
+    messages = [
+        message for record in records for message in decode_tick(record)
+    ]
+    student = transfer_adapt(teacher, messages, epochs=epochs)
+    if poison:
+        poison_detector(student)
+    release = stage_release(store, student, threshold, metadata=metadata)
+    return release.release_id
+
+
 def _fine_tune_worker(
     conn: "multiprocessing.connection.Connection",
     store_dir: str,
     keep_releases: int,
     teacher_release: int,
     threshold: float,
-    rows: List[List[object]],
+    records: List[bytes],
     epochs: int,
     poison: bool,
 ) -> None:
@@ -197,16 +222,12 @@ def _fine_tune_worker(
 
     Loads the teacher from the artifact store (its weights are
     identical to the live model's — weights only ever change through
-    journaled swaps), fine-tunes it on the replay-window messages,
-    optionally poisons the student, publishes it as a new release and
-    reports the release id (plus the child's telemetry snapshot, for
-    merging) over ``conn``.  The child touches only the store — never
-    the WAL, checkpoint or lock.
+    journaled swaps), runs :func:`fine_tune` and reports the release id
+    (plus the child's telemetry snapshot, for merging) over ``conn``.
+    The child touches only the store — never the WAL, checkpoint or
+    lock.
     """
-    from repro.runtime.service import (
-        detector_from_release,
-        stage_release,
-    )
+    from repro.runtime.service import detector_from_release
 
     try:
         os.nice(WORKER_NICENESS)
@@ -219,23 +240,19 @@ def _fine_tune_worker(
                 store_dir, keep_releases=keep_releases
             )
             teacher, _ = detector_from_release(store, teacher_release)
-            messages = [message_from_row(row) for row in rows]
-            student = transfer_adapt(teacher, messages, epochs=epochs)
-            if poison:
-                poison_detector(student)
-            release = stage_release(
+            release = fine_tune(
                 store,
-                student,
+                teacher,
+                records,
                 threshold,
-                metadata={
-                    "origin": AUTO_ADAPT_ORIGIN,
-                    "teacher": teacher_release,
-                },
+                epochs,
+                poison,
+                {"origin": AUTO_ADAPT_ORIGIN, "teacher": teacher_release},
             )
         conn.send(
             {
                 "ok": True,
-                "release": release.release_id,
+                "release": release,
                 "telemetry": registry.snapshot(),
             }
         )
@@ -269,6 +286,7 @@ class AdaptationController:
         phase: current phase (one of the ``PHASE_*`` constants).
         swaps: adaptation swaps applied over this controller's life.
         rollbacks: probation rollbacks applied.
+        abandoned: background fine-tunes stopped by :meth:`close`.
     """
 
     def __init__(self, config: AdaptConfig) -> None:
@@ -276,14 +294,16 @@ class AdaptationController:
         self.phase = PHASE_WATCHING
         self.swaps = 0
         self.rollbacks = 0
+        self.abandoned = 0
         self._ticks_seen = 0
         self._last_check_tick = 0
         self._breaches = 0
         self._reference: Optional[np.ndarray] = None
         self._reference_accum: Optional[np.ndarray] = None
         self._reference_seen = 0
-        self._recent: Deque[np.ndarray] = deque()
-        self._replay: Deque[List[List[object]]] = deque()
+        self._recent: Deque[np.ndarray] = deque(maxlen=config.recent_ticks)
+        #: Journal records of the last ``replay_ticks`` ticks.
+        self._replay: Deque[bytes] = deque(maxlen=config.replay_ticks)
         self._rate_window: Deque[Tuple[int, int]] = deque(
             maxlen=config.probation_ticks
         )
@@ -291,10 +311,11 @@ class AdaptationController:
         self._baseline_rate = 0.0
         self._probation_release: Optional[int] = None
         self._rollback_to: Optional[int] = None
-        #: Probation bookkeeping rides the shared Incident shape:
-        #: ``n_anomalies``/``n_observed`` accumulate the post-swap
-        #: rate, ``n_ticks`` is the elapsed guard window.
-        self._probation = Incident()
+        # The post-swap guard: anomalies and kept messages since the
+        # swap, and the ticks elapsed.
+        self._probation_anomalies = 0
+        self._probation_kept = 0
+        self._probation_elapsed = 0
         self._cooldown_left = 0
         self._worker: Optional[
             Tuple[
@@ -308,27 +329,24 @@ class AdaptationController:
     def after_tick(
         self,
         service: "MonitorService",
-        messages: Sequence[SyslogMessage],
+        record: bytes,
         result: "TickResult",
     ) -> None:
         """Fold one scored tick into the controller's state.
 
         Called by the service after every tick — live ticks and
-        replayed journal ticks alike — so the drift windows, replay
-        buffer and probation accounting evolve identically under
-        recovery.  May arm the ``triggered``/``rollback`` phases;
-        never performs journal side effects itself.
+        replayed journal ticks alike, with the tick's journal
+        ``record`` — so the drift windows, replay buffer and probation
+        accounting evolve identically under recovery.  May arm the
+        ``triggered``/``rollback`` phases; never performs journal side
+        effects itself.
         """
         self._ticks_seen += 1
-        counts = self._tick_counts(service, messages)
-        self._observe_counts(counts)
+        capacity = int(service.monitor.detector.vocabulary_capacity)
+        self._observe_counts(np.bincount(result.ids, minlength=capacity))
         anomalies, kept = self._tick_rate(service, result)
         self._rate_window.append((anomalies, kept))
-        self._replay.append(
-            [message_to_row(message) for message in messages]
-        )
-        while len(self._replay) > self.config.replay_ticks:
-            self._replay.popleft()
+        self._replay.append(bytes(record))
         if self.phase == PHASE_COOLDOWN:
             self._cooldown_left -= 1
             if self._cooldown_left <= 0:
@@ -356,7 +374,7 @@ class AdaptationController:
             self.phase = PHASE_PROBATION
             self._probation_release = int(release_id)
             self._rollback_to = int(previous_release)
-            self._probation.reset()
+            self._reset_probation()
             self._baseline_rate = (
                 self._normal_rate
                 if self._normal_rate is not None
@@ -426,7 +444,10 @@ class AdaptationController:
             "recent": [
                 [int(v) for v in counts] for counts in self._recent
             ],
-            "replay": [list(tick) for tick in self._replay],
+            "replay": [
+                base64.b64encode(record).decode("ascii")
+                for record in self._replay
+            ],
             "rate_window": [
                 [int(a), int(k)] for a, k in self._rate_window
             ],
@@ -434,9 +455,9 @@ class AdaptationController:
             "baseline_rate": self._baseline_rate,
             "probation_release": self._probation_release,
             "rollback_to": self._rollback_to,
-            "probation_anomalies": self._probation.n_anomalies,
-            "probation_kept": self._probation.n_observed,
-            "probation_elapsed": self._probation.n_ticks,
+            "probation_anomalies": self._probation_anomalies,
+            "probation_kept": self._probation_kept,
+            "probation_elapsed": self._probation_elapsed,
             "cooldown_left": self._cooldown_left,
         }
 
@@ -466,11 +487,12 @@ class AdaptationController:
         )
         self._reference_seen = int(state["reference_seen"])
         self._recent = deque(
-            np.asarray(counts, dtype=np.int64)
-            for counts in state["recent"]
+            (np.asarray(counts, dtype=np.int64) for counts in state["recent"]),
+            maxlen=self.config.recent_ticks,
         )
         self._replay = deque(
-            [list(row) for row in tick] for tick in state["replay"]
+            (base64.b64decode(record) for record in state["replay"]),
+            maxlen=self.config.replay_ticks,
         )
         self._rate_window = deque(
             ((int(a), int(k)) for a, k in state["rate_window"]),
@@ -487,41 +509,30 @@ class AdaptationController:
         self._rollback_to = (
             None if rollback_to is None else int(rollback_to)
         )
-        self._probation = Incident(
-            n_anomalies=int(state["probation_anomalies"]),
-            n_observed=int(state["probation_kept"]),
-            n_ticks=int(state["probation_elapsed"]),
-        )
+        self._probation_anomalies = int(state["probation_anomalies"])
+        self._probation_kept = int(state["probation_kept"])
+        self._probation_elapsed = int(state["probation_elapsed"])
         self._cooldown_left = int(state["cooldown_left"])
 
     def close(self) -> None:
-        """Terminate a live fine-tune worker, if any (shutdown)."""
+        """Stop a background fine-tune still running at shutdown.
+
+        It is counted in :attr:`abandoned` and
+        ``adapt.fine_tune.abandoned``; the checkpoint records the phase
+        as ``triggered``, so a ``--replay`` run relaunches it.
+        """
         if self._worker is None:
             return
         process, conn = self._worker
         self._worker = None
+        self.abandoned += 1
+        telemetry.counter("adapt.fine_tune.abandoned").inc()
         conn.close()
         if process.is_alive():
             process.terminate()
         process.join()
 
     # -- internals -------------------------------------------------------
-
-    def _tick_counts(
-        self,
-        service: "MonitorService",
-        messages: Sequence[SyslogMessage],
-    ) -> np.ndarray:
-        """Template-id count vector of one tick (capacity-clamped).
-
-        The scorer already matched this exact batch, so the memoized
-        ``match_ids`` call is near-free and mines nothing new.
-        """
-        detector = service.monitor.detector
-        capacity = int(detector.vocabulary_capacity)
-        ids = detector.store.match_ids(list(messages))
-        clamp_template_ids(ids, capacity)
-        return np.bincount(ids, minlength=capacity)
 
     def _tick_rate(
         self, service: "MonitorService", result: "TickResult"
@@ -567,8 +578,6 @@ class AdaptationController:
                 self._normal_rate = self._window_rate()
             return
         self._recent.append(counts)
-        while len(self._recent) > self.config.recent_ticks:
-            self._recent.popleft()
 
     def _check_drift(self) -> None:
         """Run the cadenced drift check; arm the trigger on K breaches."""
@@ -597,10 +606,17 @@ class AdaptationController:
             self.phase = PHASE_TRIGGERED
             self._breaches = 0
 
+    def _reset_probation(self) -> None:
+        self._probation_anomalies = 0
+        self._probation_kept = 0
+        self._probation_elapsed = 0
+
     def _observe_probation(self, anomalies: int, kept: int) -> None:
         """Accumulate one probation tick; arm rollback or pass."""
-        self._probation.observe_tick(anomalies, kept)
-        rate = self._probation.anomaly_rate()
+        self._probation_anomalies += anomalies
+        self._probation_kept += kept
+        self._probation_elapsed += 1
+        rate = self._probation_anomalies / max(1, self._probation_kept)
         limit = self.config.rollback_ratio * max(
             self._baseline_rate, self.config.baseline_floor
         )
@@ -610,58 +626,38 @@ class AdaptationController:
             self._baseline_rate
         )
         if (
-            self._probation.n_ticks >= self.config.min_probation_ticks
+            self._probation_elapsed >= self.config.min_probation_ticks
             and rate > limit
         ):
             registry.gauge("adapt.rollback.rate_ratio").set(
                 rate / max(limit, 1e-12) * self.config.rollback_ratio
             )
             self.phase = PHASE_ROLLBACK
-        elif self._probation.n_ticks >= self.config.probation_ticks:
+        elif self._probation_elapsed >= self.config.probation_ticks:
             registry.counter("adapt.probation.passed").inc()
             self._enter_cooldown()
 
-    def _replay_messages(self) -> List[SyslogMessage]:
-        """The replay window, decoded back into messages."""
-        return [
-            message_from_row(row)
-            for tick in self._replay
-            for row in tick
-        ]
-
     def _launch(self, service: "MonitorService") -> None:
         """Start the fine-tune for an armed trigger (live only)."""
-        registry = telemetry.default_registry()
-        registry.counter("adapt.fine_tune.launched").inc()
+        telemetry.counter("adapt.fine_tune.launched").inc()
         if self.config.inline:
-            from repro.runtime.service import stage_release
-
-            student = transfer_adapt(
-                service.monitor.detector,
-                self._replay_messages(),
-                epochs=self.config.epochs,
-            )
-            if self.config.poison:
-                poison_detector(student)
-            release = stage_release(
+            release = fine_tune(
                 service.store,
-                student,
+                service.monitor.detector,
+                self._replay,
                 service.monitor.threshold,
-                metadata={
+                self.config.epochs,
+                self.config.poison,
+                {
                     "origin": AUTO_ADAPT_ORIGIN,
                     "teacher": service.active_release,
                     "trigger_tick": self._ticks_seen,
                 },
             )
-            registry.counter("adapt.fine_tune.completed").inc()
-            service.request_swap(release.release_id)
-            registry.counter("adapt.swap.staged").inc()
-            # phase stays "triggered"; the swap applies within this
-            # same process_tick and on_swap_applied opens probation.
+            self._stage(service, release)
             return
         context = multiprocessing.get_context()
         receiver, sender = context.Pipe(duplex=False)
-        rows = [row for tick in self._replay for row in tick]
         process = context.Process(
             target=_fine_tune_worker,
             args=(
@@ -670,7 +666,7 @@ class AdaptationController:
                 service.config.keep_releases,
                 service.active_release,
                 float(service.monitor.threshold),
-                rows,
+                list(self._replay),
                 self.config.epochs,
                 self.config.poison,
             ),
@@ -698,14 +694,21 @@ class AdaptationController:
             registry.counter("adapt.fine_tune.failed").inc()
             self._enter_cooldown()
             return
-        registry.counter("adapt.fine_tune.completed").inc()
         snapshot = payload.get("telemetry")
         if snapshot is not None:
             registry.merge([snapshot])
-        service.request_swap(int(payload["release"]))
+        self._stage(service, int(payload["release"]))
+
+    def _stage(self, service: "MonitorService", release_id: int) -> None:
+        """Stage a finished fine-tune's release for swap.
+
+        The phase is ``triggered`` so :meth:`on_swap_applied` opens
+        probation when the swap lands at this same boundary.
+        """
+        registry = telemetry.default_registry()
+        registry.counter("adapt.fine_tune.completed").inc()
+        service.request_swap(release_id)
         registry.counter("adapt.swap.staged").inc()
-        # Back to "triggered" so on_swap_applied opens probation when
-        # the staged swap lands at this same boundary.
         self.phase = PHASE_TRIGGERED
 
     def _execute_rollback(self, service: "MonitorService") -> None:
@@ -732,7 +735,7 @@ class AdaptationController:
         self._rebaseline()
         self._probation_release = None
         self._rollback_to = None
-        self._probation.reset()
+        self._reset_probation()
         if self.config.cooldown_ticks > 0:
             self.phase = PHASE_COOLDOWN
             self._cooldown_left = self.config.cooldown_ticks
@@ -752,5 +755,6 @@ __all__ = [
     "PHASE_TUNING",
     "PHASE_WATCHING",
     "WORKER_NICENESS",
+    "fine_tune",
     "poison_detector",
 ]

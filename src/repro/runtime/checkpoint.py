@@ -9,10 +9,11 @@ ticks after its cursor reproduces the uninterrupted run bitwise.
 
 On disk a checkpoint is one ``.npz`` file: the scorer's numpy arrays
 are stored natively (exact int64/float64 round-trip, NaNs included)
-and the JSON-safe remainder rides along as an embedded JSON document.
-Writes go to a same-directory temp file and ``os.replace`` onto the
-final name, so a crash mid-write never clobbers the previous
-checkpoint.
+and the JSON-safe remainder rides along as one UTF-8 JSON document
+(a ``uint8`` array).  Writes go to a same-directory temp file and
+``os.replace`` onto the final name, so a crash mid-write never
+clobbers the previous checkpoint.  A file this build cannot load is
+refused with :class:`CheckpointError`.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import zipfile
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Union
 
@@ -29,10 +31,16 @@ from repro import telemetry
 from repro.core.online import OnlineMonitor
 
 #: Version of the on-disk checkpoint layout.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 #: The scorer-state keys stored as native numpy arrays.
 _ARRAY_KEYS = ("contexts", "pos", "fill", "last_time")
+
+
+class CheckpointError(ValueError):
+    """A checkpoint this build cannot load: unreadable, missing an
+    entry, or in a layout version (its own or a sub-state's) that this
+    build does not read."""
 
 
 @dataclass(frozen=True)
@@ -90,7 +98,7 @@ def write_checkpoint(
     with open(tmp, "wb") as handle:
         np.savez(
             handle,
-            meta=np.array(json.dumps(meta)),
+            meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
             **arrays,
         )
         handle.flush()
@@ -105,34 +113,53 @@ def write_checkpoint(
 
 
 def read_checkpoint(path: Union[str, pathlib.Path]) -> Checkpoint:
-    """Load a checkpoint written by :func:`write_checkpoint`."""
+    """Load a checkpoint written by :func:`write_checkpoint`.
+
+    Raises :class:`CheckpointError` when the file is unreadable, lacks
+    an entry or has another layout version.
+    """
     path = pathlib.Path(path)
-    with np.load(path) as archive:
-        meta = json.loads(str(archive["meta"]))
-        arrays = {
-            key: archive[f"scorer.{key}"].copy()
-            for key in _ARRAY_KEYS
-        }
-    version = meta.get("checkpoint_version")
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(
-            f"{path}: checkpoint version {version!r} is not supported "
-            f"(expected {CHECKPOINT_VERSION})"
+    try:
+        with np.load(path) as archive:
+            raw = archive["meta"]
+            arrays = {
+                key: archive[f"scorer.{key}"].copy()
+                for key in _ARRAY_KEYS
+            }
+        # Layout 1 stored the JSON as a numpy unicode scalar.
+        meta = json.loads(
+            raw.tobytes() if raw.dtype == np.uint8 else str(raw)
         )
-    scorer_state = dict(meta["scorer"])
-    scorer_state.update(arrays)
-    monitor_state = dict(meta["monitor"])
-    monitor_state["scorer"] = scorer_state
-    return Checkpoint(
-        cursor=int(meta["cursor"]),
-        monitor_state=monitor_state,
-        extra=dict(meta.get("extra", {})),
+        version = meta.get("checkpoint_version")
+        if version == CHECKPOINT_VERSION:
+            return Checkpoint(
+                cursor=int(meta["cursor"]),
+                monitor_state=dict(
+                    meta["monitor"], scorer=dict(meta["scorer"], **arrays)
+                ),
+                extra=dict(meta["extra"]),
+            )
+    except KeyError as error:
+        raise CheckpointError(
+            f"{path}: checkpoint has no entry {error}"
+        ) from None
+    except (
+        AttributeError, EOFError, OSError, TypeError, ValueError,
+        zipfile.BadZipFile,
+    ) as error:
+        raise CheckpointError(
+            f"{path}: unreadable checkpoint ({error})"
+        ) from None
+    raise CheckpointError(
+        f"{path}: checkpoint version {version!r} is not supported "
+        f"(expected {CHECKPOINT_VERSION})"
     )
 
 
 __all__ = [
     "CHECKPOINT_VERSION",
     "Checkpoint",
+    "CheckpointError",
     "read_checkpoint",
     "write_checkpoint",
 ]

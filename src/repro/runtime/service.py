@@ -47,12 +47,12 @@ from typing import (
 import numpy as np
 
 from repro import telemetry
-from repro.core.adaptation import transfer_adapt
 from repro.core.detector import LSTMAnomalyDetector
 from repro.core.online import OnlineMonitor, WarningSignature
 from repro.logs.message import SyslogMessage
 from repro.logs.persistence import store_from_json, store_to_json
 from repro.runtime.checkpoint import (
+    CheckpointError,
     read_checkpoint,
     write_checkpoint,
 )
@@ -137,11 +137,16 @@ class ServiceConfig:
 
 @dataclass(frozen=True)
 class TickResult:
-    """Outcome of one processed tick."""
+    """Outcome of one processed tick.
+
+    ``scores``, ``kept`` and ``ids`` are the scorer's per-message
+    :class:`~repro.core.stream.StreamBatch` columns.
+    """
 
     tick: int
     scores: np.ndarray
     kept: np.ndarray
+    ids: np.ndarray
     warnings: List[WarningSignature]
     swapped_release: Optional[int] = None
 
@@ -374,29 +379,33 @@ class MonitorService:
         Journaled swaps are re-applied at the same boundaries.
         """
         checkpoint_cursor = 0
-        if self.config.checkpoint_path.exists():
-            checkpoint = read_checkpoint(self.config.checkpoint_path)
-            checkpoint.restore(self.monitor)
-            self.cursor = checkpoint.cursor
-            self.n_ticks = int(checkpoint.extra["n_ticks"])
-            # Older checkpoints predate the message counter; replayed
-            # ticks below re-add their messages on top either way.
-            self.n_messages = int(
-                checkpoint.extra.get("n_messages", 0)
-            )
-            checkpoint_cursor = checkpoint.cursor
-            restored_release = int(checkpoint.extra["active_release"])
+        path = self.config.checkpoint_path
+        if path.exists():
+            checkpoint = read_checkpoint(path)
+            extra = checkpoint.extra
+            try:
+                checkpoint.restore(self.monitor)
+                adapt_state = extra.get("adapt")
+                if adapt_state is not None and self.controller is not None:
+                    self.controller.load_state_dict(adapt_state)
+                rca_state = extra.get("rca")
+                if rca_state is not None and self.rca is not None:
+                    self.rca.load_state_dict(rca_state)
+                self.n_ticks = int(extra["n_ticks"])
+                self.n_messages = int(extra["n_messages"])
+                restored_release = int(extra["active_release"])
+            except KeyError as error:
+                raise CheckpointError(
+                    f"{path}: checkpoint has no entry {error}"
+                ) from None
+            except (TypeError, ValueError) as error:
+                raise CheckpointError(f"{path}: {error}") from None
+            self.cursor = checkpoint_cursor = checkpoint.cursor
             if restored_release != self.active_release:
                 self._load_release(restored_release)
-            pending = checkpoint.extra.get("pending_release")
+            pending = extra.get("pending_release")
             if pending is not None:
                 self.pending_release = int(pending)
-            adapt_state = checkpoint.extra.get("adapt")
-            if adapt_state is not None and self.controller is not None:
-                self.controller.load_state_dict(adapt_state)
-            rca_state = checkpoint.extra.get("rca")
-            if rca_state is not None and self.rca is not None:
-                self.rca.load_state_dict(rca_state)
         results: List[TickResult] = []
         records = ticks = messages = swaps = 0
         for record in self.wal.replay(after=self.cursor):
@@ -409,7 +418,7 @@ class MonitorService:
                 result = self._score_tick(record.sequence, batch)
                 results.append(result)
                 if self.controller is not None:
-                    self.controller.after_tick(self, batch, result)
+                    self.controller.after_tick(self, raw_payload, result)
                 ticks += 1
                 messages += len(batch)
             elif raw_payload[:1] == b"{":
@@ -465,16 +474,13 @@ class MonitorService:
             # the engine sees the identical decision stream either
             # way, which is what makes its incident output replayable.
             self.rca.observe_tick(
-                sequence,
-                messages,
-                batch.scores,
-                batch.kept,
-                self.monitor.threshold,
+                messages, batch.scores, batch.kept, self.monitor.threshold
             )
         return TickResult(
             tick=sequence,
             scores=batch.scores,
             kept=batch.kept,
+            ids=batch.ids,
             warnings=warnings,
         )
 
@@ -506,14 +512,16 @@ class MonitorService:
         if self.pending_release is not None:
             swapped = self._journal_and_apply_swap()
         sequence = self.cursor + 1
-        self.wal.append(sequence, self._encoder.encode(messages))
+        record = self._encoder.encode(messages)
+        self.wal.append(sequence, record)
         self._fault(FAULT_AFTER_WAL_APPEND, sequence)
         result = self._score_tick(sequence, messages)
         self.cursor = sequence
         if self.controller is not None:
             # Observation must precede the checkpoint so the snapshot
-            # carries the controller's post-tick state.
-            self.controller.after_tick(self, messages, result)
+            # carries the controller's post-tick state; the record is
+            # still the encoder's, as no tick was encoded since.
+            self.controller.after_tick(self, record, result)
         telemetry.counter("runtime.ticks").inc()
         if self.n_ticks % self.config.checkpoint_every == 0:
             self.checkpoint_now()
@@ -662,34 +670,6 @@ class MonitorService:
         applied = self._journal_and_apply_swap()
         telemetry.counter("runtime.rollbacks").inc()
         return applied
-
-    def adapt(
-        self,
-        messages: Sequence[SyslogMessage],
-        threshold: Optional[float] = None,
-        epochs: int = 3,
-        metadata: Optional[Dict[str, object]] = None,
-    ) -> Release:
-        """Fine-tune on fresh data, publish the student, stage a swap.
-
-        Runs the paper's transfer adaptation
-        (:func:`repro.core.adaptation.transfer_adapt`) on the live
-        detector, publishes the student as a new release (new weights,
-        extended template store, carried-over or overridden
-        threshold), and stages it for hot swap at the next tick
-        boundary.
-        """
-        student = transfer_adapt(
-            self.monitor.detector, list(messages), epochs=epochs
-        )
-        release = stage_release(
-            self.store,
-            student,
-            self.monitor.threshold if threshold is None else threshold,
-            metadata=metadata,
-        )
-        self.request_swap(release.release_id)
-        return release
 
     # -- shutdown -------------------------------------------------------
 

@@ -22,6 +22,7 @@ from repro.logs.trace import TraceError, read_feed
 from repro.rca import DEFAULT_CLUSTER_GAP, IncidentReport, RcaEngine, incident_row
 from repro.runtime.adapt import AdaptationController, AdaptConfig
 from repro.runtime.blas import limited_blas_threads
+from repro.runtime.checkpoint import CheckpointError
 from repro.runtime.lock import LockHeldError
 from repro.runtime.ring import shard_of
 from repro.runtime.service import (
@@ -41,7 +42,7 @@ from repro.topology import FleetTopology, TopologyError
 #: forwards them to its coordinator as an ``error`` frame.
 SESSION_ERRORS = (
     ServiceError, StoreError, WalCorruptionError, LockHeldError,
-    TopologyError, TraceError,
+    TopologyError, TraceError, CheckpointError,
 )
 
 
@@ -436,6 +437,8 @@ class ShardOutcome:
         live_ticks: ticks served from the feed this run.
         warnings, incidents: written this run, replayed ones included.
         swaps, rollbacks: the adaptation controller's, if one ran.
+        abandoned: background fine-tunes still running at shutdown and
+            stopped; the checkpoint has them relaunched on ``--replay``.
     """
 
     exit_code: int = 0
@@ -446,6 +449,7 @@ class ShardOutcome:
     incidents: int = 0
     swaps: int = 0
     rollbacks: int = 0
+    abandoned: int = 0
 
 
 def serve_shard(
@@ -508,6 +512,7 @@ def serve_shard(
         incidents=session.n_incidents,
         swaps=0 if controller is None else controller.swaps,
         rollbacks=0 if controller is None else controller.rollbacks,
+        abandoned=0 if controller is None else controller.abandoned,
     )
 
 

@@ -40,10 +40,14 @@ _FIELDS_CACHE: Dict[str, Tuple[str, ...]] = {}
 
 
 def _pattern_fields(pattern: str) -> Tuple[str, ...]:
-    """Placeholder names used by a pattern (cached; rendering hot path)."""
+    """Placeholder names used by a pattern, in first-appearance order.
+
+    The order fixes the RNG draws of :meth:`LogTemplateSpec.render`, so
+    it must not depend on the hash seed (cached; rendering hot path).
+    """
     fields = _FIELDS_CACHE.get(pattern)
     if fields is None:
-        fields = tuple(set(_FIELD_RE.findall(pattern)))
+        fields = tuple(dict.fromkeys(_FIELD_RE.findall(pattern)))
         _FIELDS_CACHE[pattern] = fields
     return fields
 

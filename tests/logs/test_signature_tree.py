@@ -9,6 +9,7 @@ from repro.logs.signature_tree import (
     _agreement,
     _matches,
     _merge,
+    _presignature,
     is_variable_token,
     render_signature,
     tokenize,
@@ -125,9 +126,10 @@ class TestSignatureTree:
     def test_lookup_without_mutation(self):
         tree = SignatureTree()
         message = make_message(text="LINK: up on port 7")
-        assert tree.lookup(message) is None
+        presig = _presignature(tokenize(message.text))
+        assert tree.lookup_presig(message.process, presig) is None
         tree.insert(message)
-        assert tree.lookup(message) is not None
+        assert tree.lookup_presig(message.process, presig) is not None
         assert tree.n_signatures == 1
 
     def test_invalid_threshold(self):

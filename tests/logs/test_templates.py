@@ -101,10 +101,10 @@ class TestMemo:
         hits, misses = cached.memo_stats
         assert hits > 0
 
-    def test_exact_text_memo_dropped_by_extend(self):
+    def test_verbatim_rematch_after_extend(self):
         store = TemplateStore().fit(corpus())
         novel = make_message(text="NEW_EVENT: counter 1 rolled over")
-        # Warm the exact-(process, text) LRU with the unknown verdict.
+        # Warm the memo with the unknown verdict.
         assert store.match(novel) == UNKNOWN_TEMPLATE_ID
         assert store.match(novel) == UNKNOWN_TEMPLATE_ID
         store.extend([novel])
@@ -121,8 +121,8 @@ class TestMemo:
         store.extend(
             [make_message(text="NEW_EVENT: counter 2 rolled over")]
         )
-        # A third variant misses the text LRU and would hit a stale
-        # presignature entry if extend did not clear it.
+        # A third variant would hit a stale presignature entry if
+        # extend did not clear it.
         assert store.match(
             make_message(text="NEW_EVENT: counter 3 rolled over")
         ) >= 1

@@ -272,7 +272,7 @@ class TestObserveTick:
         messages = self.tick([("a1", 0.0), ("a2", 10.0), ("b1", 20.0)])
         scores = np.array([5.0, 0.1, 6.0])
         kept = np.array([True, True, True])
-        engine.observe_tick(0, messages, scores, kept, 1.0)
+        engine.observe_tick(messages, scores, kept, 1.0)
         assert engine.watermark == 20.0
         reports = close_all(engine)
         # a2 scored below threshold; a1 and b1 share nothing, so the
@@ -285,7 +285,7 @@ class TestObserveTick:
         messages = self.tick([("a1", 0.0), ("a2", 10.0)])
         scores = np.array([np.nan, np.nan])
         kept = np.array([True, True])
-        engine.observe_tick(0, messages, scores, kept, 1.0)
+        engine.observe_tick(messages, scores, kept, 1.0)
         assert not engine.open_incidents
         assert engine.watermark == 10.0
 
@@ -293,7 +293,7 @@ class TestObserveTick:
         engine = RcaEngine(topology=topology)
         messages = self.tick([("a1", 0.0)])
         engine.observe_tick(
-            0, messages, np.array([9.0]), np.array([False]), 1.0
+            messages, np.array([9.0]), np.array([False]), 1.0
         )
         assert not engine.open_incidents
 
@@ -302,14 +302,12 @@ class TestObserveTick:
         closes incidents gone quiet; a fully empty tick is a no-op."""
         engine = RcaEngine(topology=topology, cluster_gap=60.0)
         engine.observe_tick(
-            0,
             self.tick([("a1", 0.0)]),
             np.array([9.0]),
             np.array([True]),
             1.0,
         )
         closed = engine.observe_tick(
-            1,
             self.tick([("b1", 1000.0)]),
             np.array([0.1]),
             np.array([True]),
@@ -317,7 +315,7 @@ class TestObserveTick:
         )
         assert len(closed) == 1
         assert engine.observe_tick(
-            2, [], np.empty(0), np.empty(0, dtype=bool), 1.0
+            [], np.empty(0), np.empty(0, dtype=bool), 1.0
         ) == []
 
 

@@ -24,9 +24,11 @@ from repro.runtime.adapt import (
     PHASE_COOLDOWN,
     PHASE_PROBATION,
     PHASE_TRIGGERED,
+    PHASE_TUNING,
     PHASE_WATCHING,
     poison_detector,
 )
+from repro.runtime.checkpoint import read_checkpoint
 from repro.runtime.service import MonitorService, ServiceConfig
 from repro.runtime.service import stage_release
 from repro.runtime.store import ArtifactStore
@@ -303,6 +305,34 @@ class TestAdaptLoop:
         assert counters["adapt.fine_tune_events"] == 1
         store = ArtifactStore(config.store_dir)
         assert store.manifest(2).metadata["origin"] == AUTO_ADAPT_ORIGIN
+
+
+    def test_close_abandons_a_running_fine_tune(
+        self, tmp_path, detector, threshold
+    ):
+        """A fine-tune still running at shutdown is counted, and the
+        checkpoint keeps the trigger so ``--replay`` relaunches it."""
+        config = make_service(tmp_path, detector, threshold)
+        with telemetry.use(telemetry.MetricsRegistry()) as registry:
+            service = open_with_controller(
+                config, fast_config(inline=False)
+            )
+            controller = service.controller
+            for tick in drift_feed(n_normal=4, n_drift=8):
+                service.process_tick(tick)
+                if controller.phase == PHASE_TUNING:
+                    break
+            assert controller.phase == PHASE_TUNING
+            service.close()
+        assert controller.abandoned == 1
+        counters = registry.snapshot()["counters"]
+        assert counters["adapt.fine_tune.abandoned"] == 1
+        adapt_state = read_checkpoint(config.checkpoint_path).extra["adapt"]
+        assert adapt_state["phase"] == PHASE_TRIGGERED
+        with telemetry.use(telemetry.MetricsRegistry()):
+            revived = open_with_controller(config, fast_config())
+            assert revived.controller.phase == PHASE_TRIGGERED
+            revived.close()
 
 
 class TestCrashReplay:

@@ -5,6 +5,8 @@ constructed monitor and continuing the stream is bitwise identical to
 never having snapshotted — scores, warnings and counters alike.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -14,6 +16,7 @@ from repro.core.online import OnlineMonitor
 from repro.logs.templates import TemplateStore
 from repro.runtime.checkpoint import (
     CHECKPOINT_VERSION,
+    CheckpointError,
     read_checkpoint,
     write_checkpoint,
 )
@@ -126,16 +129,56 @@ class TestRoundTrip:
         monitor = fresh_monitor(detector)
         path = tmp_path / "checkpoint.npz"
         write_checkpoint(path, monitor, cursor=0)
-        import json
-
         data = np.load(path)
-        meta = json.loads(str(data["meta"]))
+        meta = json.loads(data["meta"].tobytes())
         meta["checkpoint_version"] = CHECKPOINT_VERSION + 1
         arrays = {
             key: data[key] for key in data.files if key != "meta"
         }
+        np.savez(
+            path,
+            meta=np.frombuffer(json.dumps(meta).encode(), np.uint8),
+            **arrays,
+        )
+        with pytest.raises(CheckpointError, match="version"):
+            read_checkpoint(path)
+
+    def test_meta_is_utf8_json(self, detector, tmp_path):
+        path = tmp_path / "checkpoint.npz"
+        write_checkpoint(path, fresh_monitor(detector), cursor=3)
+        with np.load(path) as data:
+            assert data["meta"].dtype == np.uint8
+            meta = json.loads(data["meta"].tobytes().decode("utf-8"))
+        assert meta["checkpoint_version"] == CHECKPOINT_VERSION
+
+    def test_layout_1_refused(self, detector, tmp_path):
+        """The first layout stored its JSON as a numpy unicode scalar;
+        it is refused by version, never half-loaded."""
+        path = tmp_path / "checkpoint.npz"
+        write_checkpoint(path, fresh_monitor(detector), cursor=0)
+        with np.load(path) as data:
+            meta = json.loads(data["meta"].tobytes())
+            arrays = {k: data[k] for k in data.files if k != "meta"}
+        meta["checkpoint_version"] = 1
         np.savez(path, meta=np.array(json.dumps(meta)), **arrays)
-        with pytest.raises(ValueError, match="version"):
+        with pytest.raises(CheckpointError, match="version 1 is not"):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("damage", ["truncated", "no-meta", "garbage"])
+    def test_unreadable_file_is_a_checkpoint_error(
+        self, detector, tmp_path, damage
+    ):
+        path = tmp_path / "checkpoint.npz"
+        write_checkpoint(path, fresh_monitor(detector), cursor=0)
+        if damage == "truncated":
+            path.write_bytes(path.read_bytes()[:200])
+        elif damage == "no-meta":
+            with np.load(path) as data:
+                arrays = {k: data[k] for k in data.files if k != "meta"}
+            np.savez(path, **arrays)
+        else:
+            path.write_bytes(b"not a checkpoint")
+        with pytest.raises(CheckpointError, match=str(path)):
             read_checkpoint(path)
 
 

@@ -14,6 +14,8 @@ import pytest
 
 from repro.core.detector import LSTMAnomalyDetector
 from repro.logs.templates import TemplateStore
+from repro.runtime.adapt import fine_tune
+from repro.runtime.codec import TickEncoder
 from repro.runtime.service import (
     FAULT_AFTER_WAL_APPEND,
     FAULT_BEFORE_CHECKPOINT,
@@ -472,8 +474,17 @@ class TestHotSwap:
             for tick in ticks[:2]:
                 service.process_tick(tick)
             fresh = cyclic_stream(80, start=TRACE_START + 20000.0)
-            release = service.adapt(fresh, epochs=1)
-            assert release.release_id == 2
+            release = fine_tune(
+                service.store,
+                service.monitor.detector,
+                [bytes(TickEncoder().encode(fresh))],
+                service.monitor.threshold,
+                epochs=1,
+                poison=False,
+                metadata={},
+            )
+            service.request_swap(release)
+            assert release == 2
             assert service.pending_release == 2
             result = service.process_tick(ticks[2])
             assert result.swapped_release == 2

@@ -1,7 +1,10 @@
 """Tests for repro.synthesis.catalog."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
-import pytest
 
 from repro.logs.signature_tree import SignatureTree
 from repro.synthesis.catalog import (
@@ -74,6 +77,30 @@ class TestRendering:
         a = spec.render(TRACE_START, "x", np.random.default_rng(5)).text
         b = spec.render(TRACE_START, "x", np.random.default_rng(5)).text
         assert a == b
+
+    def test_independent_of_hash_seed(self):
+        """Fresh interpreters under different PYTHONHASHSEEDs render
+        the whole catalog identically: placeholder order must not come
+        from a set."""
+        script = (
+            "import numpy as np\n"
+            "from repro.synthesis.catalog import catalog_by_name\n"
+            "rng = np.random.default_rng(7)\n"
+            "for name, spec in sorted(catalog_by_name().items()):\n"
+            "    print(spec.render(0.0, 'vpe00', rng).text)\n"
+        )
+        texts = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                text=True,
+                check=True,
+                env={**os.environ, "PYTHONHASHSEED": seed},
+            ).stdout
+            for seed in ("1", "2")
+        ]
+        assert texts[0] == texts[1]
+        assert texts[0].count("\n") == len(catalog_by_name())
 
 
 class TestGroupSeparation:

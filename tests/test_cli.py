@@ -4,6 +4,7 @@ The full workflow runs once per module on a tiny trace; individual
 tests assert on the artifacts each stage produces.
 """
 
+import argparse
 import csv
 import json
 import os
@@ -11,10 +12,12 @@ import pathlib
 import shutil
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from repro.cli import main, read_trace
+from repro.cli import _report, main, read_trace
 from repro.runtime.blas import blas_threads
+from repro.runtime.session import ShardOutcome
 from repro.runtime.wal import WriteAheadLog
 
 
@@ -120,6 +123,40 @@ class TestReport:
         assert "precision" in out
         assert "recall" in out
         assert "false alarms / day" in out
+
+
+class TestOfflineTraceErrors:
+    """A torn trace line ends every offline command with the one-line
+    ``<path>:<line>: …`` reason and exit code 2, as ``serve`` does."""
+
+    @pytest.mark.parametrize(
+        "command", ["mine", "train", "detect", "report"]
+    )
+    def test_torn_line_exits_2_without_traceback(
+        self, workflow, tmp_path, capfd, command
+    ):
+        trace = tmp_path / "trace"
+        shutil.copytree(workflow["trace"], trace)
+        path = trace / "vpe01.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-1]) + lines[-1][:17])
+        args = {
+            "mine": ["--out", str(tmp_path / "templates.json")],
+            "train": [
+                "--templates", str(workflow["templates"]),
+                "--out", str(tmp_path / "model"),
+            ],
+            "detect": [
+                "--model", str(workflow["model"]),
+                "--out", str(tmp_path / "anomalies.csv"),
+            ],
+            "report": ["--anomalies", str(workflow["anomalies"])],
+        }[command]
+        capfd.readouterr()
+        assert main([command, "--trace", str(trace), *args]) == 2
+        err = capfd.readouterr().err
+        assert "Traceback" not in err
+        assert f"vpe01.jsonl:{len(lines)}: malformed JSON" in err
 
 
 class TestTelemetrySubcommand:
@@ -261,6 +298,24 @@ class TestServe:
         assert counters["runtime.ticks"] == 4
         assert counters["runtime.wal.appends"] >= 4
         assert counters["runtime.checkpoint.writes"] >= 1
+
+    def test_auto_adapt_matches_each_message_once(
+        self, workflow, tmp_path
+    ):
+        """The drift watcher reads the scorer's template ids: with no
+        fine-tune, one memo lookup per served message."""
+        out = tmp_path / "telemetry.json"
+        assert self.serve(
+            workflow, tmp_path / "svc", "--max-ticks", "12",
+            "--auto-adapt", "--telemetry-out", str(out),
+        ) == 0
+        counters = json.loads(out.read_text())["counters"]
+        assert "adapt.fine_tune.launched" not in counters
+        assert counters["stream.messages_ingested"] == 12 * 64
+        assert (
+            counters["match.memo_hits"] + counters["match.memo_misses"]
+            == counters["stream.messages_ingested"]
+        )
 
 
 class TestParser:
@@ -438,6 +493,15 @@ class TestFleetServe:
 WHOLE_FLEET_CASES = ("foreign-lock", "bad-shard-count", "bad-topology")
 
 
+class TestServeReport:
+    def test_abandoned_fine_tune_is_reported(self, capsys):
+        args = argparse.Namespace(rca=False, auto_adapt=True)
+        _report(args, ShardOutcome(live_ticks=3, abandoned=1), "")
+        out = capsys.readouterr().out
+        assert "1 fine-tune(s) abandoned at shutdown" in out
+        assert "--replay" in out
+
+
 class TestServeErrors:
     """Bad on-disk state or input ends ``serve`` with a one-line reason
     and exit 2 in both modes: no traceback from the CLI, and none from
@@ -461,6 +525,28 @@ class TestServeErrors:
             wal.close()
         elif case == "bad-shard-count":
             (data / "SHARDS").write_text("2\x00")
+        elif case == "torn-checkpoint":
+            root = data if shards == 1 else data / "shard-00"
+            path = root / "checkpoint.npz"
+            path.write_bytes(path.read_bytes()[:-100])
+        elif case in ("layout-1-checkpoint", "monitor-state-version"):
+            root = data if shards == 1 else data / "shard-00"
+            path = root / "checkpoint.npz"
+            with np.load(path) as archive:
+                meta = json.loads(archive["meta"].tobytes())
+                arrays = {
+                    key: archive[key] for key in archive.files
+                    if key != "meta"
+                }
+            if case == "layout-1-checkpoint":
+                # The first layout: JSON in a numpy unicode scalar.
+                meta["checkpoint_version"] = 1
+                raw = np.array(json.dumps(meta))
+            else:
+                meta["monitor"]["version"] = 1
+                raw = np.frombuffer(json.dumps(meta).encode(), np.uint8)
+            with open(path, "wb") as handle:
+                np.savez(handle, meta=raw, **arrays)
         elif case == "missing-file":
             meta = json.loads((trace / "meta.json").read_text())
             meta["vpes"].append("vpe99")
@@ -487,6 +573,12 @@ class TestServeErrors:
             ("unknown-record", 1, "unrecognized journal record"),
             ("unknown-record", 2, "unrecognized journal record"),
             ("bad-shard-count", 2, "malformed shard count"),
+            ("torn-checkpoint", 1, "checkpoint.npz: unreadable checkpoint"),
+            ("torn-checkpoint", 2, "checkpoint.npz: unreadable checkpoint"),
+            ("layout-1-checkpoint", 1, "checkpoint version 1 is not"),
+            ("layout-1-checkpoint", 2, "checkpoint version 1 is not"),
+            ("monitor-state-version", 1, "monitor state version 1 is not"),
+            ("monitor-state-version", 2, "monitor state version 1 is not"),
             ("bad-topology", 1, "cannot read topology"),
             ("bad-topology", 2, "cannot read topology"),
             ("torn-line", 1, "vpe00.jsonl:2: malformed JSON"),

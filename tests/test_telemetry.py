@@ -269,13 +269,16 @@ class TestLayerInstrumentation:
         ).fit(messages)
         with telemetry.use(registry):
             scorer = StreamScorer(detector)
-            scorer.observe_batch(messages[:50])
-            scorer.observe_batch(messages[50:])
+            batches = [
+                scorer.observe_batch(messages[:50]),
+                scorer.observe_batch(messages[50:]),
+            ]
         snapshot = registry.snapshot()
         assert snapshot["counters"]["stream.ticks"] == 2
         assert snapshot["counters"]["stream.messages_ingested"] == 120
-        assert snapshot["counters"]["stream.messages_scored"] == (
-            scorer.n_scored
+        assert snapshot["counters"]["stream.messages_scored"] == sum(
+            int(np.count_nonzero(~np.isnan(batch.scores)))
+            for batch in batches
         )
         assert snapshot["counters"]["stream.n_reordered"] == 0
         assert snapshot["histograms"]["stream.scores"]["count"] > 0
