@@ -41,7 +41,7 @@ from repro.devtools.cli import add_check_parser
 from repro.core.mapping import map_anomalies, warning_clusters
 from repro.core.online import OnlineMonitor
 from repro.evaluation.reporting import format_table
-from repro.logs.message import SyslogMessage
+from repro.logs.message import MessageBatch, SyslogMessage
 from repro.logs.persistence import store_from_json, store_to_json
 from repro.logs.templates import TemplateStore
 from repro.logs.trace import (
@@ -122,7 +122,7 @@ def write_trace(dataset: FleetDataset, out_dir: pathlib.Path) -> None:
 def read_trace(
     trace_dir: pathlib.Path,
     owns: Optional[Callable[[str], bool]] = None,
-) -> Tuple[dict, Dict[str, List[SyslogMessage]], List[TroubleTicket]]:
+) -> Tuple[dict, Dict[str, MessageBatch], List[TroubleTicket]]:
     """Load a trace directory written by :func:`write_trace`; with
     ``owns``, only the message streams of the vPEs it accepts."""
     meta, messages = read_streams(trace_dir, owns)
@@ -147,7 +147,7 @@ def read_trace(
 
 def _serve_feed(
     trace_dir: str, owns: Optional[Callable[[str], bool]] = None
-) -> List[SyslogMessage]:
+) -> MessageBatch:
     """A serving shard's feed, loaded like every other command's trace
     through :func:`read_trace` (the layer ``benchmarks/e2e`` times as
     ``cli.read_trace``)."""

@@ -26,7 +26,7 @@ from repro.core.base import (
     ScoredStream,
     clamp_template_ids,
 )
-from repro.logs.message import SyslogMessage
+from repro.logs.message import MessageBatch, SyslogMessage
 from repro.logs.sequences import N_GAP_BUCKETS, SequenceWindower
 from repro.logs.templates import TemplateStore
 from repro.nn import (
@@ -156,18 +156,13 @@ class LSTMAnomalyDetector(AnomalyDetector):
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Annotate, window and clip a message stream.
 
-        Uses the array-first path: template ids and timestamps go
-        straight into the windower without building annotated message
-        copies or per-message event objects.
+        Uses the array-first path: the stream's template ids and
+        timestamp column go straight into the windower without
+        building annotated message copies or per-message event objects.
         """
-        ids = self.store.match_ids(messages)
-        times = np.fromiter(
-            (message.timestamp for message in messages),
-            dtype=np.float64,
-            count=len(messages),
-        )
+        batch = MessageBatch.of(messages)
         contexts, targets, times = self.windower.windows_from_arrays(
-            ids, times
+            self.store.match_ids(batch), batch.times
         )
         # Ids beyond capacity fold onto the unknown id (0).  The
         # windower returns freshly built arrays, so clamp in place

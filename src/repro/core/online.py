@@ -28,7 +28,7 @@ import numpy as np
 from repro import telemetry
 from repro.core.detector import LSTMAnomalyDetector
 from repro.core.stream import StreamBatch, StreamScorer
-from repro.logs.message import SyslogMessage
+from repro.logs.message import MessageBatch, SyslogMessage
 from repro.timeutil import MINUTE
 
 #: Version of the dict layout produced by
@@ -205,13 +205,15 @@ class OnlineMonitor:
     ) -> List[Optional[WarningSignature]]:
         """Ingest a tick of messages across any number of devices.
 
-        Scoring runs micro-batched (one fused forward per round of
-        the tick); warning clustering then visits the tick's anomalies
-        in arrival order, so emitted warnings are identical to
-        observing each message individually.  In strict mode an
-        out-of-order arrival raises before any message of the tick is
-        ingested.
+        ``messages`` is read as a :class:`MessageBatch` (converted once
+        if it is not one).  Scoring runs micro-batched (one fused
+        forward per round of the tick); warning clustering then visits
+        the tick's anomalies in arrival order, so emitted warnings are
+        identical to observing each message individually.  In strict
+        mode an out-of-order arrival raises before any message of the
+        tick is ingested.
         """
+        messages = MessageBatch.of(messages)
         batch = self.scorer.observe_batch(messages)
         self.last_batch = batch
         results: List[Optional[WarningSignature]] = [None] * len(messages)
@@ -219,31 +221,31 @@ class OnlineMonitor:
         # NaN (warm-up) scores never exceed the threshold.
         anomalous = np.flatnonzero(batch.kept & (batch.scores > self.threshold))
         n_warnings = 0
-        for index in anomalous:
-            message = messages[index]
-            state = self._devices.get(message.host)
+        hosts = messages.hosts
+        for index, host_id, now, score in zip(
+            anomalous.tolist(),
+            messages.host_ids[anomalous].tolist(),
+            messages.times[anomalous].tolist(),
+            batch.scores[anomalous].tolist(),
+        ):
+            host = hosts[host_id]
+            state = self._devices.get(host)
             if state is None:
-                state = self._devices[message.host] = _DeviceState()
-            warning = self._register_anomaly(
-                state, message, float(batch.scores[index])
-            )
+                state = self._devices[host] = _DeviceState()
+            warning = self._register_anomaly(state, host, now, score)
             if warning is not None:
                 n_warnings += 1
                 results[index] = warning
         self.n_anomalies += int(anomalous.size)
-        if messages:
+        if len(messages):
             registry = telemetry.default_registry()
             registry.counter("stream.anomalies").inc(int(anomalous.size))
             registry.counter("stream.warnings_emitted").inc(n_warnings)
         return results
 
     def _register_anomaly(
-        self,
-        state: _DeviceState,
-        message: SyslogMessage,
-        score: float,
+        self, state: _DeviceState, host: str, now: float, score: float
     ) -> Optional[WarningSignature]:
-        now = message.timestamp
         # Drop anomalies that no longer chain into the cluster (a
         # fully expired cluster takes its stale peak with it).
         times = [t for t in state.times if now - t <= self.cluster_max_gap]
@@ -259,7 +261,7 @@ class OnlineMonitor:
             return None
         state.cooldown_until = now + self.cooldown
         warning = WarningSignature(
-            vpe=message.host,
+            vpe=host,
             time=now,
             first_anomaly=times[0],
             n_anomalies=len(times),
@@ -278,8 +280,7 @@ class OnlineMonitor:
 
         ``tick_size`` defaults to the constructor's.
         """
-        if not isinstance(messages, (list, tuple)):
-            messages = list(messages)
+        messages = MessageBatch.of(messages)
         warnings: List[WarningSignature] = []
         tick = self.tick_size if tick_size is None else tick_size
         if tick < 1:

@@ -50,7 +50,7 @@ import numpy as np
 from repro import telemetry
 from repro.core.base import clamp_template_ids
 from repro.core.detector import LSTMAnomalyDetector
-from repro.logs.message import SyslogMessage, message_columns
+from repro.logs.message import MessageBatch, SyslogMessage
 from repro.logs.sequences import GAP_BUCKET_EDGES
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.quant import QuantizedModel
@@ -143,22 +143,20 @@ class StreamScorer:
         )
 
     def _rows(
-        self, hosts: List[str]
+        self, batch: MessageBatch
     ) -> "tuple[np.ndarray, np.ndarray]":
-        """Group a tick's hosts into device runs; grow the table.
+        """Group a tick's messages into device runs; grow the table.
 
         Returns ``(run_of, run_rows)``: per-message run index and, per
-        run, the ring-buffer row.  One vectorized unique pass replaces
-        the old per-message dict loop — the Python work left is one
-        dict probe per *distinct* host in the tick, not per message.
+        run, the ring-buffer row.  Runs follow host-name order, since
+        host ids do.  The Python work left is one dict probe per
+        *distinct* host in the tick, not per message.
         """
-        unique, run_of = np.unique(
-            np.asarray(hosts), return_inverse=True
-        )
+        unique, run_of = np.unique(batch.host_ids, return_inverse=True)
         run_rows = np.empty(unique.size, dtype=np.int64)
         index = self._index
-        for u in range(unique.size):
-            host = str(unique[u])
+        for u, host_id in enumerate(unique.tolist()):
+            host = batch.hosts[host_id]
             row = index.get(host)
             if row is None:
                 row = len(self._hosts)
@@ -265,24 +263,26 @@ class StreamScorer:
     ) -> StreamBatch:
         """Ingest one tick of arrivals; score every ready window.
 
-        Messages may interleave devices arbitrarily; per-device order
-        within the tick is the sequence order.  In strict mode an
-        out-of-order arrival raises before any state is touched (the
-        whole tick is rejected).
+        ``messages`` is read as a :class:`MessageBatch` (converted once
+        if it is not one).  Messages may interleave devices
+        arbitrarily; per-device order within the tick is the sequence
+        order.  In strict mode an out-of-order arrival raises before
+        any state is touched (the whole tick is rejected).
         """
-        n = len(messages)
+        batch = MessageBatch.of(messages)
+        n = len(batch)
         scores = np.full(n, np.nan)
         kept = np.ones(n, dtype=bool)
         if n == 0:
             return StreamBatch(scores, kept, np.zeros(0, dtype=np.int64))
         detector = self.detector
-        ids = detector.store.match_ids(messages)
+        ids = detector.store.match_ids(batch)
         n_clamped = int(
             np.count_nonzero(ids >= detector.vocabulary_capacity)
         )
         clamp_template_ids(ids, detector.vocabulary_capacity)
-        times, hosts = message_columns(messages)
-        run_of, run_rows = self._rows(hosts)
+        times = batch.times
+        run_of, run_rows = self._rows(batch)
         n_runs = run_rows.size
 
         # Group arrivals by device run (stable: per-device order kept).

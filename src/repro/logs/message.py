@@ -9,8 +9,9 @@ originating host, a reporting process, and free-form text.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -88,8 +89,10 @@ class SyslogMessage:
     template_id: Optional[int] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        if self.timestamp < 0:
-            raise ValueError(f"negative timestamp: {self.timestamp}")
+        if not 0 <= self.timestamp < math.inf:
+            raise ValueError(
+                f"timestamp is not finite and >= 0: {self.timestamp}"
+            )
         if not self.host:
             raise ValueError("host must be non-empty")
         if not self.process:
@@ -147,21 +150,75 @@ def message_from_dict(raw: dict) -> SyslogMessage:
     )
 
 
-def message_columns(
-    messages: "Sequence[SyslogMessage]",
-) -> "Tuple[np.ndarray, List[str]]":
-    """Column-major ``(timestamps, hosts)`` for one batch of messages.
+@dataclass(eq=False, repr=False)
+class MessageBatch(Sequence[SyslogMessage]):
+    """Syslog messages stored column-major: one array or sequence per field.
 
-    The single array build shared by the streaming scorer's tick
-    ingest and the runtime WAL's arena tick codec: one float64 pass
-    over the timestamps plus the host list, instead of each consumer
-    re-walking the message objects field by field.
+    The serve path's one message representation, from the trace file to
+    the score: the trace reader fills one batch per vPE file, ``serve``
+    merges them into its feed, each tick is a slice of that feed, and
+    the WAL journals and replays exactly these columns.  ``host_ids``
+    index the sorted ``hosts``, so grouping a tick by device is an
+    integer ``np.unique`` whose runs come out in host-name order.
+    Slicing returns a batch; indexing with an int or iterating builds
+    :class:`SyslogMessage` objects, for the callers at the edges
+    (mining, training) that want them.
+
+    Attributes:
+        times: float64 POSIX seconds.
+        severities, facilities: uint8 :class:`Severity` and
+            :class:`Facility` values.
+        host_ids: int32 indices into ``hosts``, which slices share.
     """
-    n = len(messages)
-    times = np.fromiter(
-        (message.timestamp for message in messages),
-        dtype=np.float64,
-        count=n,
-    )
-    hosts = [message.host for message in messages]
-    return times, hosts
+
+    times: np.ndarray
+    severities: np.ndarray
+    facilities: np.ndarray
+    host_ids: np.ndarray
+    hosts: Tuple[str, ...]
+    processes: Sequence[str]
+    texts: Sequence[str]
+
+    @classmethod
+    def of(cls, messages: Iterable[SyslogMessage]) -> MessageBatch:
+        """``messages`` as a batch, for an entry point that also takes
+        message objects: converted once, or returned as it is."""
+        if isinstance(messages, MessageBatch):
+            return messages
+        messages = list(messages)
+        hosts = tuple(sorted({message.host for message in messages}))
+        index = {host: i for i, host in enumerate(hosts)}
+        return cls(
+            np.array([m.timestamp for m in messages], dtype=np.float64),
+            np.array([m.severity for m in messages], dtype=np.uint8),
+            np.array([m.facility for m in messages], dtype=np.uint8),
+            np.array([index[m.host] for m in messages], dtype=np.int32),
+            hosts,
+            [message.process for message in messages],
+            [message.text for message in messages],
+        )
+
+    def __len__(self) -> int:
+        return len(self.texts)
+
+    def __getitem__(
+        self, index: Union[int, slice]
+    ) -> Union[SyslogMessage, MessageBatch]:
+        if isinstance(index, slice):
+            return MessageBatch(
+                self.times[index],
+                self.severities[index],
+                self.facilities[index],
+                self.host_ids[index],
+                self.hosts,
+                self.processes[index],
+                self.texts[index],
+            )
+        return SyslogMessage(
+            timestamp=float(self.times[index]),
+            host=self.hosts[self.host_ids[index]],
+            process=self.processes[index],
+            text=self.texts[index],
+            severity=Severity(int(self.severities[index])),
+            facility=Facility(int(self.facilities[index])),
+        )

@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import telemetry
-from repro.logs.message import SyslogMessage
+from repro.logs.message import MessageBatch, SyslogMessage
 from repro.logs.signature_tree import (
     Signature,
     SignatureTree,
@@ -201,9 +201,12 @@ class TemplateStore:
         on every re-instantiation of a known template; the memo is
         dropped whenever :meth:`fit`/:meth:`extend` mutate the tree.
         """
+        return self._match(message.process, message.text)
+
+    def _match(self, process: str, text: str) -> int:
         if not self._fitted:
             raise RuntimeError("TemplateStore.match called before fit")
-        key = (message.process, _presignature(tokenize(message.text)))
+        key = (process, _presignature(tokenize(text)))
         template_id = self._memo.get(key)
         if template_id is not None:
             self._memo_hits += 1
@@ -213,9 +216,7 @@ class TemplateStore:
         template_id = (
             UNKNOWN_TEMPLATE_ID
             if signature is None
-            else self._index.get(
-                (message.process, signature), UNKNOWN_TEMPLATE_ID
-            )
+            else self._index.get((process, signature), UNKNOWN_TEMPLATE_ID)
         )
         if self._memo_capacity:
             if len(self._memo) >= self._memo_capacity:
@@ -277,13 +278,15 @@ class TemplateStore:
         """Template ids of a whole stream as one int64 array.
 
         The array-first counterpart of :meth:`transform` for callers
-        that only need ids (windowing, scoring): no per-message
-        annotated copies are built.
+        that only need ids (windowing, scoring).  It reads the process
+        and text columns of ``messages`` as a :class:`MessageBatch`
+        (converted once if it is not one).
         """
+        batch = MessageBatch.of(messages)
         ids = np.fromiter(
-            (self.match(message) for message in messages),
+            map(self._match, batch.processes, batch.texts),
             dtype=np.int64,
-            count=len(messages),
+            count=len(batch),
         )
         self._publish_match_stats()
         return ids

@@ -5,17 +5,37 @@ A trace (``python -m repro simulate --out trace/``) holds
 ``<vpe>.jsonl`` file per device with one JSON message per line.  Every
 consumer reads messages through this module: the offline commands, and
 ``serve`` in both modes, where each fleet shard reads only its own
-vPEs' files.  A file that does not parse, or that holds another
-device's lines, raises :class:`TraceError` naming the file and line.
+vPEs' files.  Each file is parsed once into a
+:class:`~repro.logs.message.MessageBatch` of columns.  A file that does
+not parse, or that holds another device's lines or a timestamp that is
+not finite and >= 0, raises :class:`TraceError` naming the file and
+line.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import pathlib
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+import sys
+from itertools import chain
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.logs.message import SyslogMessage, message_from_dict, message_to_dict
+import numpy as np
+
+from repro.logs.message import (
+    Facility,
+    MessageBatch,
+    Severity,
+    SyslogMessage,
+    message_from_dict,
+    message_to_dict,
+)
+
+#: A trace line's six fields, in :class:`MessageBatch` column order.
+_FIELDS = operator.itemgetter("ts", "host", "proc", "sev", "fac", "text")
+_SEVERITIES = frozenset(int(severity) for severity in Severity)
+_FACILITIES = frozenset(int(facility) for facility in Facility)
 
 
 class TraceError(ValueError):
@@ -35,34 +55,28 @@ def _read_meta(trace_dir: pathlib.Path) -> dict:
     return meta
 
 
-def _bad_line(path: pathlib.Path) -> TraceError:
-    """The error for the first line of ``path`` that is not a message."""
+def _read_lines(path: pathlib.Path, vpe: str) -> List[SyslogMessage]:
+    """The file parsed line by line, naming the first line that is not
+    a message, or else the first of another vPE."""
+    messages = []
     with open(path, "rb") as handle:
         for line_no, raw in enumerate(handle, start=1):
             where = f"{path}:{line_no}"
             try:
                 record = json.loads(raw.decode())
             except UnicodeDecodeError:
-                return TraceError(f"{where}: line is not UTF-8")
+                raise TraceError(f"{where}: line is not UTF-8") from None
             except ValueError as error:
-                return TraceError(f"{where}: malformed JSON ({error})")
+                raise TraceError(f"{where}: malformed JSON ({error})") from None
             try:
-                message_from_dict(record)
+                messages.append(message_from_dict(record))
+                float(record["ts"])  # an integer too large for a float64
             except KeyError as error:
-                return TraceError(f"{where}: record has no {error.args[0]!r} field")
-            except (TypeError, ValueError) as error:
-                return TraceError(f"{where}: bad record ({error})")
-    return TraceError(f"{path}: unreadable")
-
-
-def _read_stream(path: pathlib.Path, vpe: str) -> List[SyslogMessage]:
-    try:
-        with open(path) as handle:
-            messages = [message_from_dict(json.loads(line)) for line in handle]
-    except (KeyError, TypeError, ValueError):
-        # The fast path parses without counting lines; only a failure
-        # pays for a second pass that finds and names the line.
-        raise _bad_line(path) from None
+                raise TraceError(
+                    f"{where}: record has no {error.args[0]!r} field"
+                ) from None
+            except (TypeError, ValueError, OverflowError) as error:
+                raise TraceError(f"{where}: bad record ({error})") from None
     for line_no, message in enumerate(messages, start=1):
         if message.host != vpe:
             raise TraceError(
@@ -72,10 +86,69 @@ def _read_stream(path: pathlib.Path, vpe: str) -> List[SyslogMessage]:
     return messages
 
 
+def _parse_columns(text: str, vpe: str) -> Optional[MessageBatch]:
+    """``text``'s records as columns, parsed by one ``json.loads`` over
+    its lines joined into an array, or ``None`` where that parse might
+    differ from :func:`_read_lines`'.
+
+    The two agree when every line but the last ends in ``}`` and every
+    record is an object holding exactly the six fields, each a scalar.
+    The joiner keeps each newline, and no JSON string may hold one, so
+    such a ``}`` closes a record and the comma after it separates two
+    array elements; with as many records as lines, each line is then
+    exactly one record.
+    """
+    body = text[:-1] if text.endswith("\n") else text
+    joined = body.replace("\n", ",\n")
+    breaks = len(joined) - len(body)
+    if body.count("}\n") != breaks:
+        return None
+    records = json.loads("[" + joined + "]")
+    if len(records) != breaks + 1:  # an empty file too: one line, no record
+        return None
+    times, hosts, processes, severities, facilities, texts = zip(*map(_FIELDS, records))
+    names = set(processes)
+    if (
+        set(map(len, records)) != {6}
+        or set(hosts) != {vpe}
+        or not set(map(type, times)) <= {int, float}
+        or set(map(type, names)) != {str}
+        or "" in names
+        or set(map(type, texts)) != {str}
+        or not set(severities) <= _SEVERITIES
+        or not set(facilities) <= _FACILITIES
+    ):
+        return None
+    times = np.array(times, dtype=np.float64)
+    if not (np.isfinite(times) & (times >= 0)).all():
+        return None
+    return MessageBatch(
+        times,
+        np.array(severities, dtype=np.uint8),
+        np.array(facilities, dtype=np.uint8),
+        np.zeros(len(records), dtype=np.int32),
+        (vpe,),
+        tuple(map(sys.intern, processes)),
+        texts,
+    )
+
+
+def _read_stream(path: pathlib.Path, vpe: str) -> MessageBatch:
+    """One vPE file as columns.  A file :func:`_parse_columns` cannot
+    vouch for is parsed line by line, which accepts exactly what the
+    line format allows and otherwise names the first bad line."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            batch = _parse_columns(handle.read(), vpe)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        batch = None
+    return MessageBatch.of(_read_lines(path, vpe)) if batch is None else batch
+
+
 def read_streams(
     trace_dir: Union[str, pathlib.Path],
     owns: Optional[Callable[[str], bool]] = None,
-) -> Tuple[dict, Dict[str, List[SyslogMessage]]]:
+) -> Tuple[dict, Dict[str, MessageBatch]]:
     """The trace's ``meta.json`` and each listed vPE's message stream.
 
     With ``owns``, only the vPEs it accepts are read.  Streams keep
@@ -83,7 +156,7 @@ def read_streams(
     """
     trace_dir = pathlib.Path(trace_dir)
     meta = _read_meta(trace_dir)
-    streams: Dict[str, List[SyslogMessage]] = {}
+    streams: Dict[str, MessageBatch] = {}
     for vpe in meta["vpes"]:
         if owns is not None and not owns(vpe):
             continue
@@ -98,7 +171,7 @@ def read_streams(
 
 def merge_streams(
     streams: Mapping[str, Sequence[SyslogMessage]],
-) -> List[SyslogMessage]:
+) -> MessageBatch:
     """The streams merged into one arrival order.
 
     The sort is stable, so messages with equal timestamps keep the
@@ -106,15 +179,42 @@ def merge_streams(
     subset of the vPEs sees exactly its subsequence of the whole
     trace's feed.
     """
-    feed = [message for stream in streams.values() for message in stream]
-    feed.sort(key=lambda message: message.timestamp)
-    return feed
+    # The empty batch types every concatenation when no stream is read.
+    batches = [MessageBatch.of(())]
+    batches += [MessageBatch.of(stream) for stream in streams.values()]
+    hosts = tuple(sorted(set(chain.from_iterable(b.hosts for b in batches))))
+    index = {host: i for i, host in enumerate(hosts)}
+    times = np.concatenate([batch.times for batch in batches])
+    order = np.argsort(times, kind="stable")
+
+    def merged(columns: Iterable[np.ndarray]) -> np.ndarray:
+        return np.concatenate(list(columns))[order]
+
+    def merged_strings(columns: Iterable[Sequence[str]]) -> List[str]:
+        flat = np.empty(order.size, dtype=object)
+        flat[:] = list(chain.from_iterable(columns))
+        return flat[order].tolist()
+
+    return MessageBatch(
+        times[order],
+        merged(batch.severities for batch in batches),
+        merged(batch.facilities for batch in batches),
+        merged(
+            np.array([index[host] for host in batch.hosts], dtype=np.int32)[
+                batch.host_ids
+            ]
+            for batch in batches
+        ),
+        hosts,
+        merged_strings(batch.processes for batch in batches),
+        merged_strings(batch.texts for batch in batches),
+    )
 
 
 def read_feed(
     trace_dir: Union[str, pathlib.Path],
     owns: Optional[Callable[[str], bool]] = None,
-) -> List[SyslogMessage]:
+) -> MessageBatch:
     """The (owned) vPE streams in one arrival order (see
     :func:`merge_streams`)."""
     return merge_streams(read_streams(trace_dir, owns)[1])

@@ -38,7 +38,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.core.incident import CauseHypothesis, Incident
-from repro.logs.message import SyslogMessage
+from repro.logs.message import MessageBatch, SyslogMessage
 from repro.topology.graph import FleetTopology, KIND_DEVICE
 
 #: Version key stamped into :meth:`RcaEngine.state_dict`; bumped on
@@ -334,25 +334,31 @@ class RcaEngine:
     ) -> List[IncidentReport]:
         """Fold one scored service tick; returns incidents it closed.
 
-        ``scores``/``kept`` align with ``messages`` (the
-        :class:`~repro.core.stream.StreamBatch` layout); an anomaly is
+        ``messages`` is read as a
+        :class:`~repro.logs.message.MessageBatch` (converted once if it
+        is not one); ``scores``/``kept`` align with it (the
+        :class:`~repro.core.stream.StreamBatch` layout).  An anomaly is
         a kept message scoring strictly above ``threshold`` (NaN
         warm-up scores never qualify).  The tick's last message stamps
         the watermark — ticks arrive time-ordered, and the watermark's
         own monotonicity absorbs any intra-tick disorder at the cost
         of a close deferred by at most one tick.
         """
-        if len(messages):
+        batch = MessageBatch.of(messages)
+        if len(batch):
             anomalous = np.flatnonzero(kept & (scores > threshold))
-            watermark = messages[-1].timestamp
-            for index in anomalous:  # repro: hot-path
-                message = messages[index]
-                self.ingest(
-                    message.host, message.timestamp, float(scores[index])
-                )
-                if message.timestamp > watermark:
-                    watermark = message.timestamp
-            return self.advance(float(watermark))
+            times = batch.times[anomalous]
+            watermark = float(batch.times[-1])
+            if times.size:
+                watermark = max(watermark, float(times.max()))
+            hosts = batch.hosts
+            for host_id, time, score in zip(  # repro: hot-path
+                batch.host_ids[anomalous].tolist(),
+                times.tolist(),
+                scores[anomalous].tolist(),
+            ):
+                self.ingest(hosts[host_id], time, score)
+            return self.advance(watermark)
         if self._watermark is not None:
             return self.advance(self._watermark)
         return []

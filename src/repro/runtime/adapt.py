@@ -192,9 +192,9 @@ def fine_tune(
     """Fine-tune ``teacher`` on journal tick records and publish it.
 
     The one body of the inline and the background fine-tune: decode the
-    replay window's records, run transfer adaptation, poison the
-    student under the rollback drill, publish it with ``threshold``.
-    Returns the new release id.
+    replay window's records into the messages transfer adaptation
+    trains on, run it, poison the student under the rollback drill,
+    publish it with ``threshold``.  Returns the new release id.
     """
     from repro.runtime.service import stage_release
 

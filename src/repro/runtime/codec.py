@@ -1,21 +1,21 @@
 """Arena-backed binary tick codec for the write-ahead log.
 
 The service journals every ingested tick before scoring it, so the
-encoder sits directly on the ingest hot path.  Rather than one
-Python-level encode per message plus a container allocation per tick,
-it packs the whole tick column-major into one preallocated, grow-only
+encoder sits directly on the ingest hot path.  A tick is a
+:class:`~repro.logs.message.MessageBatch`, already column-major, and
+the record is those columns packed into one preallocated, grow-only
 arena:
 
-* one :func:`repro.logs.message.message_columns` pass shared with the
-  streaming scorer's ingest,
 * numpy bulk writes for the fixed-width columns (timestamps,
   severities, facilities),
-* a single joined blob per string column (hosts, processes, texts)
-  prefixed by a ``u32`` length vector,
+* a single UTF-8 blob per string column (hosts, processes, texts)
+  prefixed by a ``u32`` length vector; an all-ASCII column is encoded
+  with one ``str.join`` and one ``encode`` call,
 
 so a tick costs one WAL ``append`` and one CRC regardless of message
 count, and the encoder performs zero per-tick arena allocations at
-steady state.
+steady state.  :func:`decode_tick` rebuilds the same columns, so a
+replayed tick is the batch the live run scored.
 
 Record layout (all integers little-endian)::
 
@@ -37,16 +37,11 @@ identical to the original run.
 from __future__ import annotations
 
 import struct
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.logs.message import (
-    Facility,
-    Severity,
-    SyslogMessage,
-    message_columns,
-)
+from repro.logs.message import MessageBatch, SyslogMessage
 
 #: First payload byte of a binary tick record.  Any value other than
 #: ``0x7B`` (``{``) works; the service dispatches its JSON swap records
@@ -61,6 +56,17 @@ _PREFIX = struct.Struct("<BBI")
 #: Initial arena size; the arena grows geometrically and never
 #: shrinks, so steady-state ticks reuse one allocation.
 _INITIAL_ARENA_BYTES = 64 * 1024
+
+
+def _utf8(strings: Sequence[str]) -> Tuple[np.ndarray, bytes]:
+    """Each string's UTF-8 byte length, and the strings' joined UTF-8."""
+    joined = "".join(strings)
+    blob = joined.encode("utf-8")
+    if len(blob) == len(joined):
+        # All ASCII: every character is one byte.
+        return np.fromiter(map(len, strings), np.uint32, len(strings)), blob
+    lengths = [len(string.encode("utf-8")) for string in strings]
+    return np.array(lengths, dtype=np.uint32), blob
 
 
 class TickEncoder:
@@ -84,58 +90,40 @@ class TickEncoder:
     def encode(
         self, messages: "Sequence[SyslogMessage]"
     ) -> memoryview:
-        """Pack one tick; returns a view valid until the next call."""
-        n = len(messages)
-        times, hosts = message_columns(messages)
-        severities = np.fromiter(
-            (int(message.severity) for message in messages),
-            dtype=np.uint8,
-            count=n,
+        """Pack one tick; returns a view valid until the next call.
+
+        ``messages`` is read as a :class:`MessageBatch` (converted once
+        if it is not one).
+        """
+        batch = MessageBatch.of(messages)
+        n = len(batch)
+        hosts = _utf8(
+            np.array(batch.hosts, dtype=object)[batch.host_ids].tolist()
         )
-        facilities = np.fromiter(
-            (int(message.facility) for message in messages),
-            dtype=np.uint8,
-            count=n,
-        )
-        host_bytes = [host.encode("utf-8") for host in hosts]
-        proc_bytes = [
-            message.process.encode("utf-8") for message in messages
-        ]
-        text_bytes = [
-            message.text.encode("utf-8") for message in messages
-        ]
-        host_blob = b"".join(host_bytes)
-        proc_blob = b"".join(proc_bytes)
-        text_blob = b"".join(text_bytes)
+        processes = _utf8(batch.processes)
+        texts = _utf8(batch.texts)
         total = (
             _PREFIX.size
             + 10 * n  # f64 time + u8 severity + u8 facility
             + 3 * 4 * n  # three u32 length vectors
-            + len(host_blob)
-            + len(proc_blob)
-            + len(text_blob)
+            + len(hosts[1])
+            + len(processes[1])
+            + len(texts[1])
         )
         self._reserve(total)
         arena = self._arena
         _PREFIX.pack_into(arena, 0, TICK_MAGIC, CODEC_VERSION, n)
         offset = _PREFIX.size
-        np.frombuffer(arena, np.float64, n, offset)[:] = times
-        offset += 8 * n
-        np.frombuffer(arena, np.uint8, n, offset)[:] = severities
-        offset += n
-        np.frombuffer(arena, np.uint8, n, offset)[:] = facilities
-        offset += n
-        for encoded, blob in (
-            (host_bytes, host_blob),
-            (proc_bytes, proc_blob),
-            (text_bytes, text_blob),
+        for column, dtype in (
+            (batch.times, np.float64),
+            (batch.severities, np.uint8),
+            (batch.facilities, np.uint8),
         ):
-            lengths = np.frombuffer(arena, np.uint32, n, offset)
-            lengths[:] = np.fromiter(
-                (len(item) for item in encoded),
-                dtype=np.uint32,
-                count=n,
-            )
+            view = np.frombuffer(arena, dtype, n, offset)
+            view[:] = column
+            offset += view.nbytes
+        for lengths, blob in (hosts, processes, texts):
+            np.frombuffer(arena, np.uint32, n, offset)[:] = lengths
             offset += 4 * n
             arena[offset:offset + len(blob)] = blob
             offset += len(blob)
@@ -162,8 +150,8 @@ def _split_strings(
     return strings, offset + total
 
 
-def decode_tick(payload: bytes) -> "List[SyslogMessage]":
-    """Rebuild the messages of one :meth:`TickEncoder.encode` record.
+def decode_tick(payload: bytes) -> MessageBatch:
+    """Rebuild the batch of one :meth:`TickEncoder.encode` record.
 
     Timestamps come back as the original float64 bit patterns, so
     replaying a decoded tick scores bitwise-identically.
@@ -191,26 +179,21 @@ def decode_tick(payload: bytes) -> "List[SyslogMessage]":
             f"tick record truncated: {len(buffer)} bytes for "
             f"{n} messages"
         )
-    times = np.frombuffer(buffer, np.float64, n, offset)
+    times = np.frombuffer(buffer, np.float64, n, offset).copy()
     offset += 8 * n
-    severities = np.frombuffer(buffer, np.uint8, n, offset)
+    severities = np.frombuffer(buffer, np.uint8, n, offset).copy()
     offset += n
-    facilities = np.frombuffer(buffer, np.uint8, n, offset)
+    facilities = np.frombuffer(buffer, np.uint8, n, offset).copy()
     offset += n
     hosts, offset = _split_strings(buffer, offset, n)
     procs, offset = _split_strings(buffer, offset, n)
     texts, offset = _split_strings(buffer, offset, n)
-    return [
-        SyslogMessage(
-            timestamp=float(times[i]),
-            host=hosts[i],
-            process=procs[i],
-            text=texts[i],
-            severity=Severity(int(severities[i])),
-            facility=Facility(int(facilities[i])),
-        )
-        for i in range(n)
-    ]
+    names = sorted(set(hosts))
+    index = {host: i for i, host in enumerate(names)}
+    host_ids = np.fromiter(map(index.__getitem__, hosts), np.int32, n)
+    return MessageBatch(
+        times, severities, facilities, host_ids, tuple(names), procs, texts
+    )
 
 
 __all__ = [

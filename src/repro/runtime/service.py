@@ -49,7 +49,7 @@ import numpy as np
 from repro import telemetry
 from repro.core.detector import LSTMAnomalyDetector
 from repro.core.online import OnlineMonitor, WarningSignature
-from repro.logs.message import SyslogMessage
+from repro.logs.message import MessageBatch, SyslogMessage
 from repro.logs.persistence import store_from_json, store_to_json
 from repro.runtime.checkpoint import (
     CheckpointError,
@@ -461,20 +461,18 @@ class MonitorService:
 
     # -- the tick loop --------------------------------------------------
 
-    def _score_tick(
-        self, sequence: int, messages: Sequence[SyslogMessage]
-    ) -> TickResult:
-        outcomes = self.monitor.observe_batch(list(messages))
+    def _score_tick(self, sequence: int, tick: MessageBatch) -> TickResult:
+        outcomes = self.monitor.observe_batch(tick)
         warnings = [w for w in outcomes if w is not None]
         batch = self.monitor.last_batch
         self.n_ticks += 1
-        self.n_messages += len(messages)
+        self.n_messages += len(tick)
         if self.rca is not None:
             # One hook covers both the live tick loop and WAL replay:
             # the engine sees the identical decision stream either
             # way, which is what makes its incident output replayable.
             self.rca.observe_tick(
-                messages, batch.scores, batch.kept, self.monitor.threshold
+                tick, batch.scores, batch.kept, self.monitor.threshold
             )
         return TickResult(
             tick=sequence,
@@ -489,12 +487,14 @@ class MonitorService:
     ) -> TickResult:
         """Journal, score and (at cadence) checkpoint one tick.
 
-        Order of operations is the durability contract: the tick is
-        appended to the WAL first, so a crash anywhere after the
-        append replays it on recovery; a crash before the append means
-        the feeder never saw it acknowledged.  A staged model swap is
-        applied at the boundary *before* the tick, so every message is
-        scored exactly once, under exactly one model.
+        ``messages`` is read as a :class:`MessageBatch` (converted once
+        if it is not one): the WAL journals its columns and the monitor
+        scores them.  Order of operations is the durability contract:
+        the tick is appended to the WAL first, so a crash anywhere
+        after the append replays it on recovery; a crash before the
+        append means the feeder never saw it acknowledged.  A staged
+        model swap is applied at the boundary *before* the tick, so
+        every message is scored exactly once, under exactly one model.
         """
         if self._closed:
             raise ServiceError("service is closed")
@@ -511,11 +511,12 @@ class MonitorService:
                 swapped = self.active_release
         if self.pending_release is not None:
             swapped = self._journal_and_apply_swap()
+        tick = MessageBatch.of(messages)
         sequence = self.cursor + 1
-        record = self._encoder.encode(messages)
+        record = self._encoder.encode(tick)
         self.wal.append(sequence, record)
         self._fault(FAULT_AFTER_WAL_APPEND, sequence)
-        result = self._score_tick(sequence, messages)
+        result = self._score_tick(sequence, tick)
         self.cursor = sequence
         if self.controller is not None:
             # Observation must precede the checkpoint so the snapshot
@@ -538,9 +539,10 @@ class MonitorService:
     ) -> "Iterator[TickResult]":
         """Process a feed tick by tick, resuming past applied work.
 
-        The feed resumes at the persisted :attr:`n_messages` cursor,
-        which stays exact across restarts whatever sizes earlier ticks
-        had.  Ticks hold ``tick_size`` messages, or, with a
+        Each tick is a slice of the feed read as a
+        :class:`MessageBatch`.  The feed resumes at the persisted
+        :attr:`n_messages` cursor, which stays exact across restarts
+        whatever sizes earlier ticks had.  Ticks hold ``tick_size`` messages, or, with a
         ``ticker``, its current size; the ticker is fed the remaining
         backlog after every tick.  Yields one :class:`TickResult` per
         processed tick, stopping after ``max_ticks`` of them when
@@ -548,6 +550,7 @@ class MonitorService:
         """
         if tick_size < 1:
             raise ValueError("tick_size must be >= 1")
+        feed = MessageBatch.of(feed)
         offset = self.n_messages
         yielded = 0
         while offset < len(feed):

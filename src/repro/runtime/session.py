@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, TextIO
 
 from repro import telemetry
-from repro.logs.message import SyslogMessage
+from repro.logs.message import MessageBatch, SyslogMessage
 from repro.logs.trace import TraceError, read_feed
 from repro.rca import DEFAULT_CLUSTER_GAP, IncidentReport, RcaEngine, incident_row
 from repro.runtime.adapt import AdaptationController, AdaptConfig
@@ -414,9 +414,7 @@ class ServeJob:
     """
 
     trace: Optional[str] = None
-    read: Callable[
-        [str, Optional[Callable[[str], bool]]], Sequence[SyslogMessage]
-    ] = read_feed
+    read: Callable[[str, Optional[Callable[[str], bool]]], MessageBatch] = read_feed
     tick_size: int = 256
     adaptive: bool = False
     max_ticks: Optional[int] = None
@@ -485,7 +483,7 @@ def serve_shard(
                 "messages": report.messages_replayed,
                 "swaps": report.swaps_replayed,
             }
-        feed: Sequence[SyslogMessage] = []
+        feed = MessageBatch.of(())
         if job.trace is not None:
             feed = job.read(job.trace, None if spec.shard is None else (
                 lambda vpe: shard_of(vpe, shards) == spec.shard

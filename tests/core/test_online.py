@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.detector import LSTMAnomalyDetector
-from repro.core.online import OnlineMonitor, WarningSignature
+from repro.core.online import OnlineMonitor
 from repro.logs.templates import TemplateStore
-from repro.timeutil import HOUR, MINUTE, TRACE_START
+from repro.timeutil import MINUTE, TRACE_START
 from tests.conftest import make_message
 
 TEXTS = [

@@ -199,12 +199,12 @@ class TestDrain:
         """Each shard's own files, stable-sorted, are exactly its
         subsequence of the whole trace's sorted feed."""
         whole = read_feed(trace)
-        assert whole == feed
+        assert list(whole) == feed
         for shard in range(3):
             part = read_feed(
                 trace, lambda vpe, shard=shard: shard_of(vpe, 3) == shard
             )
-            assert part == [m for m in whole if shard_of(m.host, 3) == shard]
+            assert list(part) == [m for m in whole if shard_of(m.host, 3) == shard]
 
     def test_drain_scores_every_message_once(
         self, tmp_path, detector, trace, feed

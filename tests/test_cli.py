@@ -8,7 +8,6 @@ import argparse
 import csv
 import json
 import os
-import pathlib
 import shutil
 from collections import Counter
 
@@ -67,7 +66,7 @@ class TestSimulate:
         meta, messages, tickets = read_trace(workflow["trace"])
         assert set(messages) == set(meta["vpes"])
         assert all(
-            stream == sorted(stream, key=lambda m: m.timestamp)
+            list(stream) == sorted(stream, key=lambda m: m.timestamp)
             for stream in messages.values()
         )
         assert tickets
@@ -157,6 +156,29 @@ class TestOfflineTraceErrors:
         err = capfd.readouterr().err
         assert "Traceback" not in err
         assert f"vpe01.jsonl:{len(lines)}: malformed JSON" in err
+
+    def test_nan_timestamp_exits_2_naming_the_line(
+        self, workflow, tmp_path, capfd
+    ):
+        """Python's json reads ``NaN``; a message stamped with it is
+        refused, not silently dropped as out of order."""
+        trace = tmp_path / "trace"
+        shutil.copytree(workflow["trace"], trace)
+        path = trace / "vpe01.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        record = json.loads(lines[4])
+        record["ts"] = float("nan")
+        lines[4] = json.dumps(record) + "\n"
+        path.write_text("".join(lines))
+        capfd.readouterr()
+        assert main([
+            "mine", "--trace", str(trace),
+            "--out", str(tmp_path / "templates.json"),
+        ]) == 2
+        err = capfd.readouterr().err
+        assert err.splitlines() == [
+            f"{path}:5: bad record (timestamp is not finite and >= 0: nan)"
+        ]
 
 
 class TestTelemetrySubcommand:
@@ -551,7 +573,9 @@ class TestServeErrors:
             meta = json.loads((trace / "meta.json").read_text())
             meta["vpes"].append("vpe99")
             (trace / "meta.json").write_text(json.dumps(meta))
-        elif case in ("torn-line", "missing-field", "foreign-host"):
+        elif case in (
+            "torn-line", "missing-field", "foreign-host", "nan-timestamp",
+        ):
             path = trace / "vpe00.jsonl"
             lines = path.read_text().splitlines(keepends=True)
             record = json.loads(lines[1])
@@ -559,6 +583,9 @@ class TestServeErrors:
                 lines[1] = lines[1][:17]
             elif case == "missing-field":
                 del record["host"]
+                lines[1] = json.dumps(record) + "\n"
+            elif case == "nan-timestamp":
+                record["ts"] = float("nan")
                 lines[1] = json.dumps(record) + "\n"
             else:
                 record["host"] = "vpe01"
@@ -589,6 +616,7 @@ class TestServeErrors:
             ("missing-file", 2, "vPE 'vpe99' has no file vpe99.jsonl"),
             ("foreign-host", 1, "vpe00.jsonl:2: host 'vpe01' is not"),
             ("foreign-host", 2, "vpe00.jsonl:2: host 'vpe01' is not"),
+            ("nan-timestamp", 1, "vpe00.jsonl:2: bad record (timestamp is"),
         ],
     )
     def test_typed_error_exits_2_without_traceback(
