@@ -81,6 +81,12 @@ from repro.timeutil import DAY, MONTH, WEEK
 from repro.topology import FleetTopology, TopologyConfig
 
 
+class InputError(Exception):
+    """Operator input refused before any work: a number out of range,
+    a model that is not there.  ``main`` prints it in one line and
+    exits 2."""
+
+
 # -- trace I/O ------------------------------------------------------------
 
 
@@ -296,7 +302,13 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _load_detector(model_dir: pathlib.Path) -> LSTMAnomalyDetector:
-    config = json.loads((model_dir / "config.json").read_text())
+    path = model_dir / "config.json"
+    try:
+        config = json.loads(path.read_text())
+    except OSError as error:
+        raise InputError(
+            f"{path}: cannot read the model ({error.strerror})"
+        ) from None
     store = store_from_json(
         pathlib.Path(config["templates"]).read_text()
     )
@@ -407,6 +419,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     Exit codes: 0 on success, 2 on operator error or bad on-disk state
     or trace, 3 when a shard crashed (``--kill-after-ticks``).
     """
+    _check_serve_flags(args)
     registry = telemetry.MetricsRegistry()
     try:
         with telemetry.use(registry):
@@ -419,6 +432,34 @@ def cmd_serve(args: argparse.Namespace) -> int:
             pathlib.Path(args.telemetry_out).write_text(
                 registry.to_json()
             )
+
+
+def _check_serve_flags(args: argparse.Namespace) -> None:
+    """Refuse a number out of range before any state is written; deep
+    in the run it would end in a traceback.  The ``--rca`` and
+    ``--auto-adapt`` knobs count only in their mode."""
+    ranges = [
+        ("--tick-size", args.tick_size >= 1, ">= 1"),
+        ("--checkpoint-every", args.checkpoint_every >= 1, ">= 1"),
+        ("--keep-releases", args.keep_releases >= 1, ">= 1"),
+        ("--shards", args.shards >= 1, ">= 1"),
+    ]
+    if args.rca:
+        ranges.append(("--rca-gap", args.rca_gap > 0, "> 0"))
+    if args.auto_adapt:
+        ranges += [
+            ("--drift-threshold", 0 < args.drift_threshold < 1, "in (0, 1)"),
+            ("--drift-checks", args.drift_checks >= 1, ">= 1"),
+            ("--adapt-replay-ticks", args.adapt_replay_ticks >= 1, ">= 1"),
+            ("--probation-ticks", args.probation_ticks >= 1, ">= 1"),
+            ("--rollback-ratio", args.rollback_ratio > 0, "> 0"),
+            ("--adapt-epochs", args.adapt_epochs >= 1, ">= 1"),
+            ("--adapt-cooldown-ticks", args.adapt_cooldown_ticks >= 0, ">= 0"),
+        ]
+    for flag, ok, rule in ranges:
+        if not ok:
+            value = getattr(args, flag[2:].replace("-", "_"))
+            raise InputError(f"{flag} must be {rule}, got {value}")
 
 
 def _bootstrap(
@@ -560,7 +601,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         trace=args.trace,
         read=_serve_feed,
         tick_size=args.tick_size,
-        adaptive=args.adaptive_tick,
         max_ticks=args.max_ticks,
         replay=args.replay,
         adapt=_adapt_config(args),
@@ -828,11 +868,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--tick-size", type=int, default=256)
     p.add_argument(
-        "--adaptive-tick",
-        action="store_true",
-        help="size ticks from backpressure (starts at --tick-size)",
-    )
-    p.add_argument(
         "--quantized",
         action="store_true",
         help="score through int8-quantized inference (lossy, faster)",
@@ -1013,13 +1048,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the subcommand's exit code.
 
-    A malformed trace ends every command with its one-line
-    ``<path>:<line>: …`` reason and exit code 2.
+    A malformed trace or refused input (:class:`InputError`) ends every
+    command with its one-line reason and exit code 2.
     """
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except TraceError as error:
+    except (TraceError, InputError) as error:
         print(str(error), file=sys.stderr)
         return 2
 

@@ -32,12 +32,12 @@ RPR5-7xx families (and the interprocedural half of RPR2xx) are *whole
 program* checks: every file is summarized once into a
 :class:`~repro.devtools.project.ProjectIndex` — symbol table, import
 graph, conservative call graph — and the checks query the assembled
-index.  Summaries are JSON-serializable, so warm runs rehydrate
-unchanged files from an on-disk cache instead of re-parsing.
+index.  Every run parses every file once; it writes nothing but the
+report.
 
-Run it as ``python -m repro check [paths]`` (``--format text|json|
-sarif``, ``--no-cache``); suppress an intentional violation inline
-with ``# repro: noqa[RPRnnn]`` (the code is mandatory).  A module
+Run it as ``python -m repro check [paths]`` (``--format text|json``);
+suppress an intentional violation inline with
+``# repro: noqa[RPRnnn]`` (the code is mandatory).  A module
 outside the configured hot-path list can opt into the RPR2xx checks
 with a ``# repro: hot-path`` pragma comment.
 """
@@ -57,11 +57,9 @@ from repro.devtools.base import (
     get_check,
     registered_codes,
 )
-from repro.devtools.cache import IndexCache, default_cache_dir
 from repro.devtools.config import CheckConfig
 from repro.devtools.diagnostics import Diagnostic, diagnostics_to_json
 from repro.devtools.project import ProjectIndex, summarize_module
-from repro.devtools.sarif import diagnostics_to_sarif
 
 __all__ = [
     "Analyzer",
@@ -69,15 +67,12 @@ __all__ = [
     "CheckConfig",
     "CheckReport",
     "Diagnostic",
-    "IndexCache",
     "ProjectCheck",
     "ProjectIndex",
     "all_checks",
     "all_project_checks",
     "check_paths",
-    "default_cache_dir",
     "diagnostics_to_json",
-    "diagnostics_to_sarif",
     "get_check",
     "iter_python_files",
     "registered_codes",

@@ -35,7 +35,6 @@ from repro.devtools.base import (
     all_checks,
     all_project_checks,
 )
-from repro.devtools.cache import FileEntry, IndexCache
 from repro.devtools.config import CheckConfig
 from repro.devtools.diagnostics import Diagnostic
 from repro.devtools.project import ModuleSummary, ProjectIndex, summarize_module
@@ -67,11 +66,7 @@ class FileReport(NamedTuple):
 
 
 class FileScan(NamedTuple):
-    """Per-file scan products, before any cross-file phase runs.
-
-    Everything here is a pure function of (source bytes, analyzer
-    configuration), which is what makes it safe to cache.
-    """
+    """Per-file scan products, before any cross-file phase runs."""
 
     suppressions: List[Suppression]
     diagnostics: List[Diagnostic]
@@ -79,13 +74,11 @@ class FileScan(NamedTuple):
 
 
 class CheckReport(NamedTuple):
-    """Outcome of a whole run, including cache effectiveness."""
+    """Outcome of a whole run."""
 
     diagnostics: List[Diagnostic]
     n_files: int
     n_suppressed: int
-    files_parsed: int
-    files_cached: int
 
 
 def _code_matches(code: str, patterns: Sequence[str]) -> bool:
@@ -132,9 +125,9 @@ class Analyzer:
     def scan_source(self, path: str, source: str) -> FileScan:
         """Scan one file: suppressions, per-file diagnostics, summary.
 
-        This is the cacheable unit — no cross-file knowledge enters.
-        Diagnostics come back *pre-suppression* so a cached file can
-        still participate in staleness accounting on a later run.
+        No cross-file knowledge enters.  Diagnostics come back
+        *pre-suppression*: project diagnostics join them before the
+        file's suppressions apply.
         """
         suppressions = scan_suppressions(source)
         try:
@@ -267,66 +260,22 @@ def run_check(
     config: Optional[CheckConfig] = None,
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
-    cache_dir: Optional[pathlib.Path] = None,
 ) -> CheckReport:
     """Check files/directories with the full whole-program pipeline.
 
-    Phase 1 scans each file (cache-aware when ``cache_dir`` is set):
-    suppressions, per-file diagnostics, module summary.  Phase 2
-    assembles every summary into one :class:`ProjectIndex` and runs
-    the project checks.  Phase 3 merges both diagnostic streams per
-    file, applies that file's suppressions to the union, and emits
-    meta-diagnostics — so a noqa comment silences a cross-module
-    finding exactly as it silences a per-file one.
+    Phase 1 scans each file: suppressions, per-file diagnostics,
+    module summary.  Phase 2 assembles every summary into one
+    :class:`ProjectIndex` and runs the project checks.  Phase 3 merges
+    both diagnostic streams per file, applies that file's suppressions
+    to the union, and emits meta-diagnostics — so a noqa comment
+    silences a cross-module finding exactly as it silences a per-file
+    one.
     """
     analyzer = Analyzer(config=config, select=select, ignore=ignore)
-    cache: Optional[IndexCache] = None
-    if cache_dir is not None:
-        cache = IndexCache(
-            cache_dir,
-            (
-                ",".join(analyzer.select),
-                ",".join(analyzer.ignore),
-                analyzer.config.fingerprint(),
-            ),
-        )
-
-    scans: List[Tuple[str, FileScan]] = []
-    files_parsed = 0
-    files_cached = 0
-    for path in iter_python_files(list(paths)):
-        key = str(path)
-        entry: Optional[FileEntry] = None
-        stat = None
-        if cache is not None:
-            try:
-                stat = path.stat()
-            except OSError:
-                stat = None
-            if stat is not None:
-                entry = cache.get(key, stat.st_mtime_ns, stat.st_size)
-        if entry is not None:
-            files_cached += 1
-            scans.append(
-                (key, FileScan(entry.suppressions, entry.diagnostics, entry.summary))
-            )
-            continue
-        scan = analyzer.scan_source(key, path.read_text())
-        files_parsed += 1
-        scans.append((key, scan))
-        if cache is not None and stat is not None:
-            cache.put(
-                key,
-                FileEntry(
-                    mtime_ns=stat.st_mtime_ns,
-                    size=stat.st_size,
-                    suppressions=scan.suppressions,
-                    diagnostics=scan.diagnostics,
-                    summary=scan.summary,
-                ),
-            )
-    if cache is not None:
-        cache.save()
+    scans = [
+        (str(path), analyzer.scan_source(str(path), path.read_text()))
+        for path in iter_python_files(list(paths))
+    ]
 
     index = ProjectIndex(analyzer.config)
     for _, scan in scans:
@@ -345,13 +294,7 @@ def run_check(
         kept.extend(analyzer._meta_diagnostics(key, scan.suppressions))
         diagnostics.extend(kept)
         n_suppressed += suppressed
-    return CheckReport(
-        sorted(diagnostics),
-        len(scans),
-        n_suppressed,
-        files_parsed,
-        files_cached,
-    )
+    return CheckReport(sorted(diagnostics), len(scans), n_suppressed)
 
 
 def check_paths(

@@ -2,11 +2,9 @@
 
 Exit codes follow linter convention: 0 clean, 1 diagnostics found,
 2 usage error (argparse).  ``--format json`` emits the artifact schema
-the CI ``invariant-check`` job uploads, ``--format sarif`` the SARIF
-2.1.0 log code-scanning UIs ingest; ``--list`` prints every registered
-code with its one-line rationale (the README codes table is tested
-against this output).  Warm runs reuse the on-disk project-index
-cache; ``--no-cache`` forces a full re-parse.
+the CI ``invariant-check`` job uploads; ``--list`` prints every
+registered code with its one-line rationale (the README codes table is
+tested against this output).
 """
 
 from __future__ import annotations
@@ -17,9 +15,7 @@ from typing import Dict, List
 
 from repro.devtools.analyzer import META_RATIONALES, run_check
 from repro.devtools.base import all_checks, all_project_checks
-from repro.devtools.cache import default_cache_dir
 from repro.devtools.diagnostics import diagnostics_to_json, format_text
-from repro.devtools.sarif import diagnostics_to_sarif
 
 
 def code_rationales() -> Dict[str, str]:
@@ -97,7 +93,7 @@ def add_check_parser(sub: "argparse._SubParsersAction") -> None:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="diagnostic output format",
     )
@@ -105,11 +101,6 @@ def add_check_parser(sub: "argparse._SubParsersAction") -> None:
         "--out",
         default=None,
         help="write the report to a file instead of stdout",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="re-parse every file instead of using the index cache",
     )
     parser.add_argument(
         "--list",
@@ -131,11 +122,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"repro check: {error}")
         return 2
-    cache_dir = None if args.no_cache else default_cache_dir()
     try:
-        report = run_check(
-            args.paths, select=select, ignore=ignore, cache_dir=cache_dir
-        )
+        report = run_check(args.paths, select=select, ignore=ignore)
     except FileNotFoundError as error:
         print(f"repro check: {error}")
         return 2
@@ -144,13 +132,10 @@ def cmd_check(args: argparse.Namespace) -> int:
         rendered = diagnostics_to_json(
             diagnostics, report.n_files, report.n_suppressed
         )
-    elif args.format == "sarif":
-        rendered = diagnostics_to_sarif(diagnostics, code_rationales())
     else:
         lines = format_text(diagnostics)
         lines.append(
-            f"checked {report.n_files} files "
-            f"({report.files_cached} cached): "
+            f"checked {report.n_files} files: "
             f"{len(diagnostics)} diagnostics, "
             f"{report.n_suppressed} suppressed"
         )

@@ -134,16 +134,3 @@ class CheckConfig:
             normalized.endswith(_normalize(suffix))
             for suffix in self.allowlist.get(code, ())
         )
-
-    def fingerprint(self) -> str:
-        """A stable string over every field (the cache key input)."""
-        parts = [
-            repr(self.hot_path_modules),
-            repr(sorted(self.allowlist.items())),
-            repr(self.worker_entrypoints),
-            repr(self.pipe_safe_classes),
-            repr(sorted(self.resource_classes.items())),
-            repr(self.teardown_names),
-            repr(self.protocol_constant_suffixes),
-        ]
-        return "|".join(parts)

@@ -4,15 +4,14 @@ The per-file checks see one AST at a time; the failure modes PRs 5-8
 introduced (forked workers touching module state, teardown paths that
 leak a lock when an earlier close raises, writer/reader protocol
 constants drifting apart) are *cross-module*.  This module parses the
-tree once into JSON-serializable :class:`ModuleSummary` records and
-assembles them into a :class:`ProjectIndex` that the project-level
-checks (RPR5xx/6xx/7xx and the interprocedural RPR2xx upgrade) query.
+tree once into :class:`ModuleSummary` records and assembles them into
+a :class:`ProjectIndex` that the project-level checks (RPR5xx/6xx/7xx
+and the interprocedural RPR2xx upgrade) query.
 
-Summaries deliberately carry *facts*, not ASTs: the index cache
-(:mod:`repro.devtools.cache`) can then rehydrate an unchanged file
-from JSON without re-parsing it.  Name resolution (imports, ``self``
-methods, locally-typed receivers) happens at query time against the
-assembled index, so a summary never depends on other files' content.
+Summaries carry *facts*, not ASTs.  Name resolution (imports,
+``self`` methods, locally-typed receivers) happens at query time
+against the assembled index, so a summary never depends on other
+files' content.
 """
 
 from __future__ import annotations
@@ -127,7 +126,7 @@ def module_name_for_path(path: str) -> str:
 
 
 class FunctionSummary:
-    """Facts about one function, serializable for the index cache."""
+    """Facts about one function."""
 
     __slots__ = (
         "name", "qualname", "class_name", "lineno", "col",
@@ -168,25 +167,9 @@ class FunctionSummary:
         #: [{context: "dict"|"compare", lineno, col, is_literal}]
         self.version_key_sites: List[Dict[str, Any]] = []
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable form (qualname is re-derived on load)."""
-        return {slot: getattr(self, slot) for slot in self.__slots__ if slot != "qualname"}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FunctionSummary":
-        """Rehydrate a summary produced by :meth:`to_dict`."""
-        summary = cls(
-            data["name"], data["class_name"], data["lineno"], data["col"]
-        )
-        for slot in cls.__slots__:
-            if slot in ("name", "qualname", "class_name", "lineno", "col"):
-                continue
-            setattr(summary, slot, data[slot])
-        return summary
-
 
 class ModuleSummary:
-    """Facts about one module, serializable for the index cache."""
+    """Facts about one module."""
 
     __slots__ = (
         "path", "module", "is_hot_path", "imports", "constants",
@@ -210,38 +193,6 @@ class ModuleSummary:
         self.classes: Dict[str, Dict[str, Any]] = {}
         #: local qualname ("func", "Class.method") -> FunctionSummary.
         self.functions: Dict[str, FunctionSummary] = {}
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable form for the index cache."""
-        return {
-            "path": self.path,
-            "module": self.module,
-            "is_hot_path": self.is_hot_path,
-            "imports": self.imports,
-            "constants": self.constants,
-            "protocol_constants": self.protocol_constants,
-            "mutable_globals": self.mutable_globals,
-            "classes": self.classes,
-            "functions": {
-                key: summary.to_dict()
-                for key, summary in self.functions.items()
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ModuleSummary":
-        """Rehydrate a summary produced by :meth:`to_dict`."""
-        summary = cls(data["path"], data["module"], data["is_hot_path"])
-        summary.imports = data["imports"]
-        summary.constants = data["constants"]
-        summary.protocol_constants = data["protocol_constants"]
-        summary.mutable_globals = data["mutable_globals"]
-        summary.classes = data["classes"]
-        summary.functions = {
-            key: FunctionSummary.from_dict(raw)
-            for key, raw in data["functions"].items()
-        }
-        return summary
 
 
 # -- summary construction --------------------------------------------------

@@ -64,7 +64,6 @@ from repro.runtime.wal import DEFAULT_SEGMENT_BYTES, WriteAheadLog
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.rca import RcaEngine
     from repro.runtime.adapt import AdaptationController
-    from repro.runtime.session import AdaptiveTicker
 
 #: Kind of the journal's JSON control record: one model swap (ticks
 #: are binary records, see :mod:`repro.runtime.codec`).
@@ -94,9 +93,6 @@ class ServiceConfig:
         keep_releases: artifact-store retention depth.
         segment_bytes: WAL segment-rotation threshold.
         fsync: fsync every WAL append (power-loss durability).
-        strict_order: the monitor's out-of-order policy; a durable
-            service defaults to drop-and-count so one late message
-            cannot wedge the tick loop.
         quantized: score through the int8-quantized inference path
             (:mod:`repro.nn.quant`) — faster, lossy, opt-in; replay
             under a quantized service reproduces the quantized run.
@@ -107,7 +103,6 @@ class ServiceConfig:
     keep_releases: int = 3
     segment_bytes: int = DEFAULT_SEGMENT_BYTES
     fsync: bool = False
-    strict_order: bool = False
     quantized: bool = False
 
     def __post_init__(self) -> None:
@@ -257,12 +252,10 @@ class MonitorService:
     Attributes:
         cursor: journal sequence of the last applied record.
         n_ticks: tick records applied over the service's lifetime
-            (across restarts) — the feed position for resumption
-            under a fixed tick size.
+            (across restarts); paces the checkpoints.
         n_messages: messages applied over the service's lifetime —
-            the feed position for resumption under adaptive tick
-            sizing, where tick counts alone cannot locate the feed
-            offset.
+            the feed position :meth:`drain` resumes from, whatever
+            tick size earlier runs used.
         active_release: release id whose weights are currently live.
         fault_hook: optional test hook called at named supervisor
             points (see ``FAULT_*`` constants); raising from it
@@ -327,10 +320,12 @@ class MonitorService:
                 "with stage_release() before opening the service"
             )
         detector, threshold = detector_from_release(store, current)
+        # Drop-and-count out-of-order arrivals: one late message must
+        # not wedge the tick loop.
         monitor = OnlineMonitor(
             detector,
             threshold=threshold,
-            strict_order=config.strict_order,
+            strict_order=False,
             quantized=config.quantized,
         )
         return cls(config, monitor, store, current)
@@ -534,19 +529,16 @@ class MonitorService:
         self,
         feed: Sequence[SyslogMessage],
         tick_size: int = 256,
-        ticker: Optional["AdaptiveTicker"] = None,
         max_ticks: Optional[int] = None,
     ) -> "Iterator[TickResult]":
         """Process a feed tick by tick, resuming past applied work.
 
-        Each tick is a slice of the feed read as a
-        :class:`MessageBatch`.  The feed resumes at the persisted
-        :attr:`n_messages` cursor, which stays exact across restarts
-        whatever sizes earlier ticks had.  Ticks hold ``tick_size`` messages, or, with a
-        ``ticker``, its current size; the ticker is fed the remaining
-        backlog after every tick.  Yields one :class:`TickResult` per
-        processed tick, stopping after ``max_ticks`` of them when
-        given.
+        Each tick is a slice of ``tick_size`` messages of the feed
+        read as a :class:`MessageBatch`.  The feed resumes at the
+        persisted :attr:`n_messages` cursor, which stays exact across
+        restarts whatever sizes earlier ticks had.  Yields one
+        :class:`TickResult` per processed tick, stopping after
+        ``max_ticks`` of them when given.
         """
         if tick_size < 1:
             raise ValueError("tick_size must be >= 1")
@@ -556,13 +548,10 @@ class MonitorService:
         while offset < len(feed):
             if max_ticks is not None and yielded >= max_ticks:
                 return
-            size = tick_size if ticker is None else ticker.size
-            batch = feed[offset:offset + size]
+            batch = feed[offset:offset + tick_size]
             yield self.process_tick(batch)
             yielded += 1
             offset += len(batch)
-            if ticker is not None:
-                ticker.update(len(feed) - offset)
 
     def _ensure_activation_record(self) -> None:
         """Journal which release a brand-new journal starts under.

@@ -57,102 +57,6 @@ class SimulatedCrash(Exception):
     """Raised by the ``kill_after_ticks`` drill hook (exit code 3)."""
 
 
-class AdaptiveTicker:
-    """Backpressure-driven tick sizing for stream drains.
-
-    The fused forward amortizes better over large ticks, but a large
-    tick also means a large backlog holds warnings back longer.  The
-    ticker watches the backlog-to-tick ratio after every drained tick
-    and resizes with hysteresis: only ``hysteresis`` *consecutive*
-    readings beyond a watermark trigger a resize, so one bursty tick
-    cannot thrash the size.  Growth and shrink are both a factor of
-    two, clamped to ``[min_size, max_size]``.
-
-    The live size is published to the ``stream.tick_size`` gauge after
-    every update, so operators can watch the loop adapt.
-    """
-
-    def __init__(
-        self,
-        initial: int = 1024,
-        min_size: int = 64,
-        max_size: int = 8192,
-        low_watermark: float = 0.5,
-        high_watermark: float = 2.0,
-        hysteresis: int = 3,
-    ) -> None:
-        if min_size < 1 or max_size < min_size:
-            raise ValueError(
-                "need 1 <= min_size <= max_size, got "
-                f"[{min_size}, {max_size}]"
-            )
-        if not min_size <= initial <= max_size:
-            raise ValueError(
-                f"initial {initial} outside [{min_size}, {max_size}]"
-            )
-        if not 0 <= low_watermark < high_watermark:
-            raise ValueError(
-                "need 0 <= low_watermark < high_watermark, got "
-                f"[{low_watermark}, {high_watermark}]"
-            )
-        if hysteresis < 1:
-            raise ValueError("hysteresis must be >= 1")
-        self.size = initial
-        self.min_size = min_size
-        self.max_size = max_size
-        self.low_watermark = low_watermark
-        self.high_watermark = high_watermark
-        self.hysteresis = hysteresis
-        self._over = 0
-        self._under = 0
-
-    def update(self, backlog: int) -> int:
-        """Feed the post-tick backlog; return the (possibly new) size.
-
-        ``backlog`` is the number of messages still waiting after the
-        tick that just drained.  A backlog persistently above
-        ``high_watermark`` ticks means the drain is falling behind —
-        grow the tick to amortize the forward pass over more messages.
-        A backlog persistently below ``low_watermark`` ticks means the
-        loop is keeping up — shrink to tighten warning latency.
-        """
-        if backlog < 0:
-            raise ValueError(f"negative backlog: {backlog}")
-        ratio = backlog / self.size
-        if ratio >= self.high_watermark:
-            self._over += 1
-            self._under = 0
-            if self._over >= self.hysteresis:
-                self.size = min(self.size * 2, self.max_size)
-                self._over = 0
-        elif ratio <= self.low_watermark:
-            self._under += 1
-            self._over = 0
-            if self._under >= self.hysteresis:
-                self.size = max(self.size // 2, self.min_size)
-                self._under = 0
-        else:
-            self._over = 0
-            self._under = 0
-        telemetry.default_registry().gauge("stream.tick_size").set(
-            self.size
-        )
-        return self.size
-
-
-def adaptive_ticker(tick_size: int) -> AdaptiveTicker:
-    """The serve loop's ticker under ``--adaptive-tick``.
-
-    Starts at ``tick_size`` and resizes within
-    ``[min(64, tick_size), max(8192, tick_size)]``.
-    """
-    return AdaptiveTicker(
-        initial=tick_size,
-        min_size=min(64, tick_size),
-        max_size=max(8192, tick_size),
-    )
-
-
 @dataclass(frozen=True)
 class SessionSpec:
     """Everything one :class:`ServeSession` needs; no live handles, so
@@ -334,15 +238,13 @@ class ServeSession:
         self,
         feed: Sequence[SyslogMessage],
         tick_size: int,
-        adaptive: bool = False,
         max_ticks: Optional[int] = None,
     ) -> int:
         """Serve a feed from the service's message cursor (see
         :meth:`MonitorService.drain`); returns the live ticks served."""
-        ticker = adaptive_ticker(tick_size) if adaptive else None
         ticks = 0
         for result in self.service.drain(
-            feed, tick_size=tick_size, ticker=ticker, max_ticks=max_ticks
+            feed, tick_size=tick_size, max_ticks=max_ticks
         ):
             self._emit([result])
             ticks += 1
@@ -405,8 +307,7 @@ class ServeJob:
             recover and checkpoint only).
         read: how the shard reads its feed from ``trace``: called with
             the directory and a filter accepting the shard's vPEs.
-        tick_size: messages per tick; ``adaptive`` resizes from there
-            (see :func:`adaptive_ticker`).
+        tick_size: messages per tick.
         max_ticks: stop after this many live ticks.
         replay: recover prior state first; without it, prior state is
             refused rather than ingested over.
@@ -416,7 +317,6 @@ class ServeJob:
     trace: Optional[str] = None
     read: Callable[[str, Optional[Callable[[str], bool]]], MessageBatch] = read_feed
     tick_size: int = 256
-    adaptive: bool = False
     max_ticks: Optional[int] = None
     replay: bool = False
     adapt: Optional[AdaptConfig] = None
@@ -489,9 +389,7 @@ def serve_shard(
                 lambda vpe: shard_of(vpe, shards) == spec.shard
             ))
         ready()
-        live_ticks = session.drain(
-            feed, job.tick_size, job.adaptive, job.max_ticks
-        )
+        live_ticks = session.drain(feed, job.tick_size, job.max_ticks)
         session.close()
     except SimulatedCrash as crash:
         # No close(), no final checkpoint: the next run must recover
@@ -516,12 +414,10 @@ def serve_shard(
 
 __all__ = [
     "SESSION_ERRORS",
-    "AdaptiveTicker",
     "ServeJob",
     "ServeSession",
     "SessionSpec",
     "ShardOutcome",
     "SimulatedCrash",
-    "adaptive_ticker",
     "serve_shard",
 ]

@@ -9,7 +9,6 @@ import json
 import pathlib
 import subprocess
 import sys
-import tempfile
 
 import pytest
 
@@ -26,11 +25,7 @@ BAD_SOURCE = (
 )
 
 
-def run_check(*argv, cwd=ROOT, cache_dir=None):
-    # Keep subprocess runs out of the real user cache: point the
-    # cache at a throwaway directory unless a test supplies one.
-    if cache_dir is None:
-        cache_dir = tempfile.mkdtemp(prefix="repro-check-test-")
+def run_check(*argv, cwd=ROOT, env=None):
     return subprocess.run(
         [sys.executable, "-m", "repro", "check", *argv],
         capture_output=True,
@@ -39,7 +34,7 @@ def run_check(*argv, cwd=ROOT, cache_dir=None):
         env={
             "PYTHONPATH": str(ROOT / "src"),
             "PATH": "/usr/bin:/bin",
-            "REPRO_CHECK_CACHE_DIR": str(cache_dir),
+            **(env or {}),
         },
     )
 
@@ -68,6 +63,14 @@ class TestExitCodes:
         result = run_check("--select", "E501", "src")
         assert result.returncode == 2
 
+    @pytest.mark.parametrize(
+        "argv", [["--no-cache"], ["--format", "sarif"]]
+    )
+    def test_retired_options_exit_two(self, bad_tree, argv):
+        result = run_check(str(bad_tree), *argv)
+        assert result.returncode == 2
+        assert "usage:" in result.stderr
+
 
 class TestFilters:
     def test_ignore_silences_family(self, bad_tree):
@@ -91,42 +94,22 @@ class TestJsonOutput:
         assert payload["counts"]["by_code"] == {"RPR104": 1}
 
 
-class TestSarifOutput:
-    def test_sarif_report_written(self, bad_tree, tmp_path):
-        out = tmp_path / "report.sarif"
+class TestNoCache:
+    def test_no_cache_writes_nothing(self, bad_tree, tmp_path):
+        """A run writes its ``--out`` report and nothing else: not
+        under HOME, not in the checked tree, not in the cwd."""
+        home = tmp_path / "home"
+        home.mkdir()
+        out = tmp_path / "report.json"
+        before = sorted(tmp_path.rglob("*"))
         result = run_check(
-            str(bad_tree), "--format", "sarif", "--out", str(out)
+            str(bad_tree), "--format", "json", "--out", str(out),
+            cwd=tmp_path,
+            env={"HOME": str(home), "REPRO_CHECK_CACHE_DIR": str(home)},
         )
         assert result.returncode == 1
-        payload = json.loads(out.read_text())
-        assert payload["version"] == "2.1.0"
-        run = payload["runs"][0]
-        assert run["tool"]["driver"]["name"] == "repro-check"
-        assert [r["ruleId"] for r in run["results"]] == ["RPR104"]
-
-    def test_sarif_to_stdout(self, bad_tree):
-        result = run_check(str(bad_tree), "--format", "sarif")
-        payload = json.loads(result.stdout)
-        assert payload["version"] == "2.1.0"
-
-
-class TestCacheFlags:
-    def test_second_run_is_warm(self, bad_tree, tmp_path):
-        cache = tmp_path / "cache"
-        run_check(str(bad_tree), cache_dir=cache)
-        warm = run_check(str(bad_tree), cache_dir=cache)
-        assert "(1 cached)" in warm.stdout
-
-    def test_no_cache_stays_cold(self, bad_tree, tmp_path):
-        cache = tmp_path / "cache"
-        run_check(str(bad_tree), cache_dir=cache)
-        cold = run_check(str(bad_tree), "--no-cache", cache_dir=cache)
-        assert "(0 cached)" in cold.stdout
-
-    def test_no_cache_writes_nothing(self, bad_tree, tmp_path):
-        cache = tmp_path / "cache"
-        run_check(str(bad_tree), "--no-cache", cache_dir=cache)
-        assert not cache.exists()
+        assert sorted(tmp_path.rglob("*")) == sorted([*before, out])
+        assert not any(home.iterdir())
 
 
 class TestListCodes:

@@ -11,7 +11,6 @@ import ast
 
 from repro.devtools import CheckConfig
 from repro.devtools.project import (
-    ModuleSummary,
     ProjectIndex,
     module_name_for_path,
     summarize_module,
@@ -278,27 +277,3 @@ class TestModuleFacts:
             }
         )
         assert "pkg.b" in index.import_closure("pkg.a")
-
-
-class TestSummaryRoundTrip:
-    def test_to_dict_from_dict_preserves_facts(self):
-        source = (
-            "import numpy as np\n\n"
-            "_CACHE = {}\n\n\n"
-            "class Engine:\n"
-            "    def step(self):\n"
-            "        return np.zeros(4)\n"
-        )
-        tree = ast.parse(source)
-        summary = summarize_module(
-            "src/pkg/a.py", source, tree, CheckConfig()
-        )
-        clone = ModuleSummary.from_dict(summary.to_dict())
-        assert clone.module == summary.module
-        assert clone.mutable_globals == summary.mutable_globals
-        assert set(clone.functions) == set(summary.functions)
-        step = clone.functions["Engine.step"]
-        assert step.qualname == "Engine.step"
-        assert step.allocations == (
-            summary.functions["Engine.step"].allocations
-        )

@@ -219,13 +219,6 @@ class TestDrain:
         )
         assert snapshot["gauges"]["fleet.shards"] == 3
 
-    def test_adaptive_drain_scores_everything(
-        self, tmp_path, detector, trace, feed
-    ):
-        specs = make_fleet(tmp_path, detector, name="adaptive")
-        serve(specs, trace, tick_size=64, adaptive=True)
-        assert len(read_rows(specs)) == len(feed)
-
     def test_reopened_fleet_resumes_at_cursor(
         self, tmp_path, detector, trace, feed
     ):

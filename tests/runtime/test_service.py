@@ -25,7 +25,6 @@ from repro.runtime.service import (
     detector_from_release,
     stage_release,
 )
-from repro.runtime.session import AdaptiveTicker
 from repro.runtime.store import ArtifactStore
 from repro.timeutil import TRACE_START
 from tests.conftest import make_message
@@ -546,57 +545,35 @@ class TestDrain:
         )
         assert scores.shape[0] == len(feed)
 
-    def test_adaptive_drain_resumes_from_message_cursor(
+    def test_drain_resumes_from_message_cursor_at_another_tick_size(
         self, tmp_path, detector, threshold, ticks
     ):
+        """A rerun at another tick size resumes at ``n_messages`` (12),
+        not at two ticks of the new size (32)."""
         feed = self._feed(ticks, 8)
         config = make_service(tmp_path, detector, threshold)
         service = MonitorService.open(config)
         service.recover()
-        ticker = AdaptiveTicker(
-            initial=8, min_size=4, max_size=32, hysteresis=1
-        )
-        first = list(
-            service.drain(feed, ticker=ticker, max_ticks=2)
-        )
-        consumed = sum(len(r.scores) for r in first)
-        assert service.n_messages == consumed
-        rest = list(service.drain(feed, ticker=ticker))
+        first = list(service.drain(feed, tick_size=6, max_ticks=2))
+        assert service.n_messages == 12
+        rest = list(service.drain(feed, tick_size=16))
         service.close()
+        assert [len(r.scores) for r in rest] == [16, 16, 16, 4]
         total = sum(len(r.scores) for r in first + rest)
         assert total == len(feed)
 
-    def test_adaptive_drain_matches_fixed_scores(
+    def test_drain_scores_match_across_tick_sizes(
         self, tmp_path, detector, threshold, ticks
     ):
         feed = self._feed(ticks, 8)
-        fixed_config = make_service(
-            tmp_path, detector, threshold, name="fixed"
-        )
-        with MonitorService.open(fixed_config) as fixed:
-            fixed.recover()
-            fixed_scores = np.concatenate(
-                [r.scores for r in fixed.drain(feed, tick_size=8)]
+        scores = []
+        for tick_size in (4, 16):
+            config = make_service(
+                tmp_path, detector, threshold, name=f"tick{tick_size}"
             )
-        adaptive_config = make_service(
-            tmp_path, detector, threshold, name="adaptive"
-        )
-        with MonitorService.open(adaptive_config) as adaptive:
-            adaptive.recover()
-            adaptive_scores = np.concatenate(
-                [
-                    r.scores
-                    for r in adaptive.drain(
-                        feed,
-                        ticker=AdaptiveTicker(
-                            initial=4,
-                            min_size=4,
-                            max_size=16,
-                            hysteresis=1,
-                        ),
-                    )
-                ]
-            )
-        assert np.array_equal(
-            fixed_scores, adaptive_scores, equal_nan=True
-        )
+            with MonitorService.open(config) as service:
+                service.recover()
+                scores.append(np.concatenate(
+                    [r.scores for r in service.drain(feed, tick_size=tick_size)]
+                ))
+        assert np.array_equal(scores[0], scores[1], equal_nan=True)

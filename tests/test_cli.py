@@ -277,6 +277,40 @@ class TestServe:
         assert self.rows(a_csv) == self.rows(b_csv)
         assert len(self.rows(a_csv)) > 100
 
+    def test_quantized_crash_replay_matches_uninterrupted(
+        self, workflow, tmp_path, capsys
+    ):
+        """``--quantized`` replay reproduces the int8 run, whose scores
+        are not the f64 ones."""
+
+        def run(name, *extra):
+            return self.serve(
+                workflow, tmp_path / name,
+                "--scores-out", str(tmp_path / f"{name}.csv"),
+                "--warnings-out", str(tmp_path / f"{name}-warnings.csv"),
+                *extra,
+            )
+
+        assert run("f64") == 0
+        assert run("int8", "--quantized") == 0
+        assert run("crash", "--quantized", "--kill-after-ticks", "12") == 3
+        assert "simulated crash" in capsys.readouterr().err
+        assert run("crash", "--quantized", "--replay") == 0
+        for suffix in (".csv", "-warnings.csv"):
+            assert self.rows(tmp_path / f"int8{suffix}") == self.rows(
+                tmp_path / f"crash{suffix}"
+            )
+
+        def scores(name):
+            rows = (r.split(",") for r in self.rows(tmp_path / f"{name}.csv"))
+            return {(tick, i): score for tick, i, score, _ in rows}
+
+        f64, int8 = scores("f64"), scores("int8")
+        assert f64.keys() == int8.keys()
+        scored = [key for key, score in f64.items() if score != "nan"]
+        assert len(scored) > 100
+        assert all(f64[key] != int8[key] for key in scored)
+
     def test_blind_restart_refused(self, workflow, tmp_path, capsys):
         data = tmp_path / "svc"
         assert self.serve(workflow, data, "--max-ticks", "3") == 0
@@ -646,6 +680,71 @@ class TestServeErrors:
         if shards > 1 and case not in WHOLE_FLEET_CASES:
             # A shard's own state or trace: its worker's error frame.
             assert "failed to start" in err
+
+
+SERVE = [
+    "serve", "--data-dir", "{data}", "--trace", "{trace}",
+    "--model", "{model}", "--threshold", "4.0",
+]
+
+
+class TestRefusedInput:
+    """A number out of range or a missing model ends ``serve`` and
+    ``detect`` with one line naming the flag or path, and exit 2; the
+    numbers are refused before the data dir is written."""
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            ([*SERVE, "--tick-size", "0"], "--tick-size must be >= 1, got 0"),
+            ([*SERVE, "--tick-size", "-5"], "--tick-size must be >= 1, got -5"),
+            (
+                [*SERVE, "--checkpoint-every", "0"],
+                "--checkpoint-every must be >= 1, got 0",
+            ),
+            ([*SERVE, "--shards", "0"], "--shards must be >= 1, got 0"),
+            ([*SERVE, "--shards", "-2"], "--shards must be >= 1, got -2"),
+            (
+                [*SERVE, "--keep-releases", "0"],
+                "--keep-releases must be >= 1, got 0",
+            ),
+            (
+                [*SERVE, "--rca", "--rca-gap", "0"],
+                "--rca-gap must be > 0, got 0.0",
+            ),
+            (
+                [*SERVE, "--auto-adapt", "--drift-threshold", "2"],
+                "--drift-threshold must be in (0, 1), got 2.0",
+            ),
+            (
+                [*SERVE, "--model", "{missing}"],
+                "{missing}/config.json: cannot read the model",
+            ),
+            (
+                [
+                    "detect", "--trace", "{trace}", "--model", "{missing}",
+                    "--out", "{data}.csv",
+                ],
+                "{missing}/config.json: cannot read the model",
+            ),
+        ],
+    )
+    def test_refused_in_one_line(
+        self, workflow, tmp_path, capfd, argv, reason
+    ):
+        paths = {
+            "data": tmp_path / "svc",
+            "trace": workflow["trace"],
+            "model": workflow["model"],
+            "missing": tmp_path / "no-model",
+        }
+        capfd.readouterr()
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        err = capfd.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert reason.format(**paths) in err
+        if reason.startswith("--"):
+            assert not paths["data"].exists()
 
 
 class TestServeModesAgree:
