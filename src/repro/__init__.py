@@ -17,32 +17,14 @@ for NFV deployments:
   (:mod:`repro.core.baselines`);
 * anomaly-to-ticket mapping and the paper's evaluation metrics
   (:mod:`repro.core.mapping`, :mod:`repro.evaluation`).
+
+This init re-exports nothing, and neither do those of the subpackages
+that hold serve-path and offline modules side by side (``core``,
+``devtools``, ``features``, ``ml``, ``tickets``): import from the
+submodules (``from repro.core.detector import LSTMAnomalyDetector``),
+so that ``python -m repro serve`` loads only the modules it runs.
 """
 
-from repro.core import (
-    LSTMAnomalyDetector,
-    PipelineConfig,
-    RollingPipeline,
-    map_anomalies,
-    sweep_thresholds,
-)
-from repro.logs import SyslogMessage, TemplateStore
-from repro.synthesis import FleetDataset, FleetSimulator, SimulationConfig
-from repro.tickets import RootCause, TroubleTicket
 from repro.version import __version__
 
-__all__ = [
-    "__version__",
-    "LSTMAnomalyDetector",
-    "PipelineConfig",
-    "RollingPipeline",
-    "map_anomalies",
-    "sweep_thresholds",
-    "SyslogMessage",
-    "TemplateStore",
-    "FleetDataset",
-    "FleetSimulator",
-    "SimulationConfig",
-    "RootCause",
-    "TroubleTicket",
-]
+__all__ = ["__version__"]

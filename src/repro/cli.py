@@ -30,17 +30,14 @@ import json
 import pathlib
 import sys
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import telemetry
-from repro.core.adaptation import distribution_shift, transfer_adapt
 from repro.core.detector import LSTMAnomalyDetector
 from repro.devtools.cli import add_check_parser
-from repro.core.mapping import map_anomalies, warning_clusters
 from repro.core.online import OnlineMonitor
-from repro.evaluation.reporting import format_table
 from repro.logs.message import MessageBatch, SyslogMessage
 from repro.logs.persistence import store_from_json, store_to_json
 from repro.logs.templates import TemplateStore
@@ -54,6 +51,7 @@ from repro.rca import DEFAULT_CLUSTER_GAP
 from repro.runtime.adapt import AdaptConfig
 from repro.runtime.fleet import (
     FleetError,
+    check_shards,
     record_shards,
     serve_fleet,
     shard_spec,
@@ -68,17 +66,17 @@ from repro.runtime.session import (
     serve_shard,
 )
 from repro.runtime.store import ArtifactStore, StoreError
-from repro.synthesis import (
-    FleetDataset,
-    FleetSimulator,
-    SimulationConfig,
-    correlated_outage_config,
-    update_soak_config,
-    write_incidents,
-)
 from repro.tickets.ticket import RootCause, TroubleTicket
 from repro.timeutil import DAY, MONTH, WEEK
 from repro.topology import FleetTopology, TopologyConfig
+
+if TYPE_CHECKING:
+    from repro.synthesis import FleetDataset
+
+# Only what ``serve`` runs is imported above.  The offline subcommands
+# import the rest (synthesis, evaluation, mapping, adaptation, the
+# checker) when they run, so a serve process and the fleet workers it
+# forks never load them.
 
 
 class InputError(Exception):
@@ -92,6 +90,8 @@ class InputError(Exception):
 
 def write_trace(dataset: FleetDataset, out_dir: pathlib.Path) -> None:
     """Persist a FleetDataset as jsonl streams + tickets.csv + meta."""
+    from repro.synthesis import write_incidents
+
     meta = {
         "start": dataset.start,
         "end": dataset.end,
@@ -186,6 +186,13 @@ def _normal_messages(
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     """Generate a synthetic fleet trace and write it to ``--out``."""
+    from repro.synthesis import (
+        FleetSimulator,
+        SimulationConfig,
+        correlated_outage_config,
+        update_soak_config,
+    )
+
     if args.scenario == "correlated-outage":
         if not args.topology:
             print(
@@ -302,23 +309,22 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _load_detector(model_dir: pathlib.Path) -> LSTMAnomalyDetector:
-    path = model_dir / "config.json"
     try:
-        config = json.loads(path.read_text())
+        config = json.loads((model_dir / "config.json").read_text())
+        store = store_from_json(
+            pathlib.Path(config["templates"]).read_text()
+        )
+        detector = LSTMAnomalyDetector(
+            store,
+            vocabulary_capacity=config["capacity"],
+            window=config["window"],
+            hidden=(config["hidden"], config["hidden"]),
+        )
+        detector.restore_weights(str(model_dir / "weights.npz"))
     except OSError as error:
         raise InputError(
-            f"{path}: cannot read the model ({error.strerror})"
+            f"{error.filename}: cannot read the model ({error.strerror})"
         ) from None
-    store = store_from_json(
-        pathlib.Path(config["templates"]).read_text()
-    )
-    detector = LSTMAnomalyDetector(
-        store,
-        vocabulary_capacity=config["capacity"],
-        window=config["window"],
-        hidden=(config["hidden"], config["hidden"]),
-    )
-    detector.restore_weights(str(model_dir / "weights.npz"))
     return detector
 
 
@@ -361,6 +367,9 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     """Map detected anomalies to tickets; print the metrics table."""
+    from repro.core.mapping import map_anomalies, warning_clusters
+    from repro.evaluation.reporting import format_table
+
     trace_dir = pathlib.Path(args.trace)
     meta, _, tickets = read_trace(trace_dir)
     per_vpe: Dict[str, List[float]] = {}
@@ -462,33 +471,28 @@ def _check_serve_flags(args: argparse.Namespace) -> None:
             raise InputError(f"{flag} must be {rule}, got {value}")
 
 
-def _bootstrap(
+def _stores_to_bootstrap(
     args: argparse.Namespace, configs: Sequence[ServiceConfig]
-) -> bool:
-    """Publish ``--model``/``--threshold`` to each store with no release.
+) -> Tuple[List[ArtifactStore], Optional[LSTMAnomalyDetector]]:
+    """The stores with no release, and the ``--model`` to publish there.
 
-    Returns False, after saying why, when a store needs a release and
-    the flags are missing.
+    Everything that can refuse a first run (missing flags, a model
+    that is not there) happens here, before any file is written, so a
+    refused run leaves the data dir as it found it.
     """
-    detector = None
-    for config in configs:
-        store = ArtifactStore(
-            config.store_dir, keep_releases=config.keep_releases
+    stores = [
+        ArtifactStore(config.store_dir, keep_releases=config.keep_releases)
+        for config in configs
+    ]
+    empty = [store for store in stores if store.current_id() is None]
+    if not empty:
+        return [], None
+    if args.model is None or args.threshold is None:
+        raise InputError(
+            f"{empty[0].directory} holds no release; bootstrap needs "
+            "--model and --threshold"
         )
-        if store.current_id() is not None:
-            continue
-        if args.model is None or args.threshold is None:
-            print(
-                f"{store.directory} holds no release; bootstrap needs "
-                "--model and --threshold",
-                file=sys.stderr,
-            )
-            return False
-        if detector is None:
-            detector = _load_detector(pathlib.Path(args.model))
-        release = stage_release(store, detector, args.threshold)
-        print(f"published release {release.release_id} to {store.directory}")
-    return True
+    return empty, _load_detector(pathlib.Path(args.model))
 
 
 def _run_rollback(configs: Sequence[ServiceConfig]) -> int:
@@ -587,16 +591,20 @@ def _run_serve(args: argparse.Namespace) -> int:
     )
     specs = [spec]
     if args.shards > 1:
-        record_shards(args.data_dir, args.shards)
+        check_shards(args.data_dir, args.shards)
         specs = [shard_spec(spec, k) for k in range(args.shards)]
     configs = [shard.service for shard in specs]
     if args.rollback:
         return _run_rollback(configs)
-    if not _bootstrap(args, configs):
-        return 2
     if args.rca and args.topology:
         topology = FleetTopology.load(args.topology)
         specs = [replace(shard, topology=topology) for shard in specs]
+    empty, detector = _stores_to_bootstrap(args, configs)
+    if args.shards > 1:
+        record_shards(args.data_dir, args.shards)
+    for store in empty:
+        release = stage_release(store, detector, args.threshold)
+        print(f"published release {release.release_id} to {store.directory}")
     job = ServeJob(
         trace=args.trace,
         read=_serve_feed,
@@ -666,6 +674,9 @@ def _telemetry_smoke(args: argparse.Namespace) -> None:
     drift check and one transfer adaptation — so the resulting
     snapshot carries mine/match, train, stream and adapt metrics.
     """
+    from repro.core.adaptation import distribution_shift, transfer_adapt
+    from repro.synthesis import FleetSimulator, SimulationConfig
+
     config = SimulationConfig(
         n_vpes=args.vpes,
         n_months=2,

@@ -25,56 +25,3 @@
 * :mod:`repro.core.triage` — the section 5.3 four-scenario
   categorization of detected conditions.
 """
-
-from repro.core.base import (
-    AnomalyDetector,
-    ScoredStream,
-    clamp_template_ids,
-)
-from repro.core.detector import LSTMAnomalyDetector
-from repro.core.grouping import (
-    VpeGrouping,
-    fully_custom_grouping,
-    group_vpes,
-    universal_grouping,
-)
-from repro.core.mapping import (
-    AnomalyRecord,
-    AnomalyKind,
-    MappingResult,
-    map_anomalies,
-    warning_clusters,
-)
-from repro.core.online import OnlineMonitor, WarningSignature
-from repro.core.stream import StreamBatch, StreamScorer
-from repro.core.thresholds import sweep_thresholds
-from repro.core.adaptation import transfer_adapt
-from repro.core.pipeline import PipelineConfig, RollingPipeline
-from repro.core.triage import TriageFinding, TriageScenario, triage
-
-__all__ = [
-    "AnomalyDetector",
-    "ScoredStream",
-    "LSTMAnomalyDetector",
-    "VpeGrouping",
-    "group_vpes",
-    "universal_grouping",
-    "fully_custom_grouping",
-    "AnomalyRecord",
-    "AnomalyKind",
-    "MappingResult",
-    "map_anomalies",
-    "warning_clusters",
-    "sweep_thresholds",
-    "transfer_adapt",
-    "PipelineConfig",
-    "RollingPipeline",
-    "triage",
-    "TriageFinding",
-    "TriageScenario",
-    "OnlineMonitor",
-    "WarningSignature",
-    "StreamBatch",
-    "StreamScorer",
-    "clamp_template_ids",
-]

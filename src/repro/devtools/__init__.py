@@ -41,41 +41,3 @@ suppress an intentional violation inline with
 outside the configured hot-path list can opt into the RPR2xx checks
 with a ``# repro: hot-path`` pragma comment.
 """
-
-from repro.devtools.analyzer import (
-    Analyzer,
-    CheckReport,
-    check_paths,
-    iter_python_files,
-    run_check,
-)
-from repro.devtools.base import (
-    Check,
-    ProjectCheck,
-    all_checks,
-    all_project_checks,
-    get_check,
-    registered_codes,
-)
-from repro.devtools.config import CheckConfig
-from repro.devtools.diagnostics import Diagnostic, diagnostics_to_json
-from repro.devtools.project import ProjectIndex, summarize_module
-
-__all__ = [
-    "Analyzer",
-    "Check",
-    "CheckConfig",
-    "CheckReport",
-    "Diagnostic",
-    "ProjectCheck",
-    "ProjectIndex",
-    "all_checks",
-    "all_project_checks",
-    "check_paths",
-    "diagnostics_to_json",
-    "get_check",
-    "iter_python_files",
-    "registered_codes",
-    "run_check",
-    "summarize_module",
-]

@@ -296,13 +296,3 @@ def run_check(
         n_suppressed += suppressed
     return CheckReport(sorted(diagnostics), len(scans), n_suppressed)
 
-
-def check_paths(
-    paths: Iterable[str],
-    config: Optional[CheckConfig] = None,
-    select: Optional[Sequence[str]] = None,
-    ignore: Optional[Sequence[str]] = None,
-) -> Tuple[List[Diagnostic], int, int]:
-    """Check files/directories; return (diagnostics, n_files, n_suppressed)."""
-    report = run_check(paths, config=config, select=select, ignore=ignore)
-    return report.diagnostics, report.n_files, report.n_suppressed

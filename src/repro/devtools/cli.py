@@ -13,9 +13,9 @@ import argparse
 import pathlib
 from typing import Dict, List
 
-from repro.devtools.analyzer import META_RATIONALES, run_check
-from repro.devtools.base import all_checks, all_project_checks
-from repro.devtools.diagnostics import diagnostics_to_json, format_text
+# The analyzer is imported when ``check`` runs, not when the ``repro``
+# parser is built: every other subcommand, ``serve`` included, goes
+# without it.
 
 
 def code_rationales() -> Dict[str, str]:
@@ -25,6 +25,9 @@ def code_rationales() -> Dict[str, str]:
     (interprocedural RPR201/202 reuse the hot-path codes) keeps the
     per-file rationale — the two phases enforce one invariant.
     """
+    from repro.devtools.analyzer import META_RATIONALES
+    from repro.devtools.base import all_checks, all_project_checks
+
     rationales = dict(META_RATIONALES)
     for check_class in all_project_checks():
         rationales[check_class.code] = check_class.rationale
@@ -113,6 +116,9 @@ def add_check_parser(sub: "argparse._SubParsersAction") -> None:
 
 def cmd_check(args: argparse.Namespace) -> int:
     """Entry point for ``python -m repro check``."""
+    from repro.devtools.analyzer import run_check
+    from repro.devtools.diagnostics import diagnostics_to_json, format_text
+
     if args.list_codes:
         print(list_codes())
         return 0

@@ -7,17 +7,3 @@
   template ids, the input representation of the autoencoder and
   one-class SVM baselines (section 5.2).
 """
-
-from repro.features.counts import (
-    distribution_matrix,
-    sliding_distributions,
-    template_distribution,
-)
-from repro.features.tfidf import TfidfVectorizer
-
-__all__ = [
-    "template_distribution",
-    "sliding_distributions",
-    "distribution_matrix",
-    "TfidfVectorizer",
-]

@@ -44,6 +44,13 @@ _VARIABLE_PATTERNS = (
     re.compile(r"^\d+(\.\d+)?(ms|s|us|%)$"),
 )
 
+#: The five shapes as one pattern.  ``.match`` anchors its start, and
+#: ``$`` (which also matches before a final ``"\n"``) its end, so it
+#: accepts exactly the tokens one of the patterns above accepts.
+_VARIABLE_TOKEN = re.compile(
+    "(?:" + "|".join(p.pattern[1:-1] for p in _VARIABLE_PATTERNS) + ")$"
+)
+
 
 def tokenize(text: str) -> List[str]:
     """Split a message body into whitespace-delimited tokens.
@@ -56,41 +63,44 @@ def tokenize(text: str) -> List[str]:
 
 def is_variable_token(token: str) -> bool:
     """Return True when a token is variable by shape (number, IP, ...)."""
-    for pattern in _VARIABLE_PATTERNS:
-        if pattern.match(token):
-            return True
-    return False
+    return _VARIABLE_TOKEN.match(token) is not None
 
 
 Signature = Tuple[Optional[str], ...]
 
 
-#: token -> its presignature entry (the token itself, or WILDCARD when
-#: variable by shape).  Stable tokens dominate and repeat endlessly;
-#: caching the classified *value* makes _presignature one dict hit per
-#: token.  Cleared wholesale at capacity (high-cardinality variable
-#: tokens — raw numbers, addresses — would otherwise grow it forever).
-_TOKEN_CLASS_CACHE: Dict[str, Optional[str]] = {}
-_TOKEN_CLASS_CAPACITY = 1 << 17
+#: Stable token -> the first string seen with its text.  Stable tokens
+#: dominate the stream and repeat endlessly, so one dict hit classifies
+#: most tokens, and every presignature (and every match-memo key) holds
+#: one shared string per token.  Variable tokens (numbers, addresses)
+#: are not kept: most occur once, so the one regex runs at each
+#: occurrence instead, and the cache stays the size of the stable
+#: vocabulary.  Cleared wholesale at capacity.
+_STABLE_TOKENS: Dict[str, str] = {}
+_STABLE_CAPACITY = 1 << 17
 
 
 def _presignature(tokens: Sequence[str]) -> Signature:
     """Wildcard the by-shape-variable tokens before any merging."""
     # Per-process memoization: after fork each worker mutates its own
-    # copy-on-write copy; cached values are derived from the tokens
-    # alone and never cross a pipe, so workers cannot disagree.
-    cache = _TOKEN_CLASS_CACHE  # repro: noqa[RPR501]
+    # copy-on-write copy; entries are derived from the tokens alone and
+    # never cross a pipe, so workers cannot disagree.
+    stable = _STABLE_TOKENS  # repro: noqa[RPR501]
+    known = stable.get
+    variable = _VARIABLE_TOKEN.match
     out: List[Optional[str]] = []
     append = out.append
     for token in tokens:
-        try:
-            append(cache[token])
-        except KeyError:
-            value = WILDCARD if is_variable_token(token) else token
-            if len(cache) >= _TOKEN_CLASS_CAPACITY:
-                cache.clear()
-            cache[token] = value
-            append(value)
+        shared = known(token)
+        if shared is not None:
+            append(shared)
+        elif variable(token):
+            append(WILDCARD)
+        else:
+            if len(stable) >= _STABLE_CAPACITY:
+                stable.clear()
+            stable[token] = token
+            append(token)
     return tuple(out)
 
 

@@ -8,19 +8,3 @@
 * :mod:`repro.ml.pca` — PCA-subspace anomaly detection (Xu et al.,
   SOSP 2009), implemented as an additional reference method.
 """
-
-from repro.ml.isolation_forest import IsolationForest
-from repro.ml.kmeans import KMeans, choose_k
-from repro.ml.ocsvm import OneClassSVM
-from repro.ml.pca import PCADetector
-from repro.ml.similarity import cosine_similarity, pairwise_cosine
-
-__all__ = [
-    "IsolationForest",
-    "KMeans",
-    "choose_k",
-    "OneClassSVM",
-    "PCADetector",
-    "cosine_similarity",
-    "pairwise_cosine",
-]

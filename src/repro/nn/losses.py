@@ -66,8 +66,13 @@ class SoftmaxCrossEntropy(Loss):
         the observed next template was improbable under the model.
         """
         targets = np.asarray(targets, dtype=np.int64)
-        log_probs = log_softmax(outputs, axis=-1)
-        return log_probs[np.arange(outputs.shape[0]), targets]
+        # log_softmax(outputs)[rows, targets] without the whole matrix:
+        # the target column of the shifted logits minus the row's
+        # log-sum-exp, the same two roundings per value.
+        top = np.max(outputs, axis=-1, keepdims=True)
+        lse = np.log(np.sum(np.exp(outputs - top), axis=-1))
+        rows = np.arange(outputs.shape[0])
+        return (outputs[rows, targets] - top[:, 0]) - lse
 
 
 class MeanSquaredError(Loss):

@@ -247,6 +247,8 @@ class Sequential:
             self.infer(x[index])
             for index in batches(x.shape[0], batch_size)
         ]
+        if len(outputs) == 1:
+            return outputs[0]
         return np.concatenate(outputs, axis=0)
 
     # -- transfer learning support ------------------------------------

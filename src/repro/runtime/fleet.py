@@ -77,12 +77,13 @@ def shard_spec(spec: SessionSpec, shard: int) -> SessionSpec:
     )
 
 
-def record_shards(data_dir: Union[str, pathlib.Path], shards: int) -> None:
-    """Write the fleet's shard count at first open; refuse another later.
+def check_shards(data_dir: Union[str, pathlib.Path], shards: int) -> bool:
+    """Refuse a shard count other than the one the fleet recorded.
 
     A different count would move hosts between shards whose WALs and
     checkpoints hold their history, so it raises :class:`FleetError`;
-    so do ``shard-NN/`` directories without a recorded count.
+    so do ``shard-NN/`` directories without a recorded count.  Returns
+    True when no count is recorded yet.  Writes nothing.
     """
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
@@ -101,15 +102,23 @@ def record_shards(data_dir: Union[str, pathlib.Path], shards: int) -> None:
                 f"{path} records {recorded} shards but the fleet was "
                 f"opened with --shards {shards}; pass the recorded count"
             )
-        return
+        return False
     strays = sorted(p.name for p in root.glob("shard-*") if p.is_dir())
     if strays:
         raise FleetError(
             f"{root} holds {', '.join(strays)} but no {SHARDS_FILENAME} "
             "file; refusing to guess its shard count"
         )
-    root.mkdir(parents=True, exist_ok=True)
-    atomic_write(path, f"{shards}\n".encode())
+    return True
+
+
+def record_shards(data_dir: Union[str, pathlib.Path], shards: int) -> None:
+    """Write the fleet's shard count at first open; refuse another later
+    (see :func:`check_shards`)."""
+    if check_shards(data_dir, shards):
+        root = pathlib.Path(data_dir)
+        root.mkdir(parents=True, exist_ok=True)
+        atomic_write(root / SHARDS_FILENAME, f"{shards}\n".encode())
 
 
 # -- the worker process ---------------------------------------------------
@@ -265,6 +274,7 @@ def serve_fleet(
 __all__ = [
     "SHARDS_FILENAME",
     "FleetError",
+    "check_shards",
     "record_shards",
     "serve_fleet",
     "shard_spec",

@@ -66,7 +66,8 @@ class ArtifactStore:
     """Content-addressed release store under one directory.
 
     Args:
-        directory: store root (created if missing).
+        directory: store root (created at the first publish, so a
+            store that is only read leaves no trace).
         keep_releases: how many releases to retain; older manifests
             are deleted at publish time and their exclusive blobs
             garbage-collected.  The current release is always
@@ -84,8 +85,6 @@ class ArtifactStore:
         self.keep_releases = int(keep_releases)
         self._objects = self.directory / "objects"
         self._releases = self.directory / "releases"
-        self._objects.mkdir(parents=True, exist_ok=True)
-        self._releases.mkdir(parents=True, exist_ok=True)
 
     # -- blobs ----------------------------------------------------------
 
@@ -170,6 +169,7 @@ class ArtifactStore:
             name: self._write_blob(data)
             for name, data in sorted(artifacts.items())
         }
+        self._releases.mkdir(parents=True, exist_ok=True)
         manifest = {
             "manifest_version": _MANIFEST_VERSION,
             "release": release_id,

@@ -8,31 +8,3 @@ pipeline that turns monitoring signals into tickets with verification
 delays and duplicate follow-ups (``processing.py``), and the analyses
 of section 3.2 (``analysis.py``).
 """
-
-from repro.tickets.ticket import RootCause, TicketTimeline, TroubleTicket
-from repro.tickets.processing import (
-    MonitoringSignal,
-    TicketingPolicy,
-    TicketProcessor,
-)
-from repro.tickets.analysis import (
-    interarrival_cdf,
-    monthly_type_mix,
-    non_duplicated,
-    ticket_scatter,
-    tickets_per_vpe,
-)
-
-__all__ = [
-    "RootCause",
-    "TicketTimeline",
-    "TroubleTicket",
-    "MonitoringSignal",
-    "TicketingPolicy",
-    "TicketProcessor",
-    "interarrival_cdf",
-    "monthly_type_mix",
-    "non_duplicated",
-    "ticket_scatter",
-    "tickets_per_vpe",
-]

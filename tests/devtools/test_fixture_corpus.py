@@ -13,7 +13,9 @@ import re
 
 import pytest
 
-from repro.devtools import Analyzer, CheckConfig, registered_codes
+from repro.devtools.analyzer import Analyzer
+from repro.devtools.base import registered_codes
+from repro.devtools.config import CheckConfig
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 _NAME_RE = re.compile(r"^(RPR\d{3})_(bad|good)_?\w*\.py$")

@@ -7,7 +7,7 @@ so the shape asserted here is load-bearing: bump
 
 import json
 
-from repro.devtools import Analyzer
+from repro.devtools.analyzer import Analyzer
 from repro.devtools.diagnostics import (
     JSON_SCHEMA_VERSION,
     Diagnostic,

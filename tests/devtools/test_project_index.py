@@ -9,7 +9,7 @@ cycle/depth behavior of the reachability walks.
 
 import ast
 
-from repro.devtools import CheckConfig
+from repro.devtools.config import CheckConfig
 from repro.devtools.project import (
     ProjectIndex,
     module_name_for_path,

@@ -7,7 +7,7 @@ a suppression silences only the named codes on its own line; a bare
 
 import textwrap
 
-from repro.devtools import Analyzer
+from repro.devtools.analyzer import Analyzer
 from repro.devtools.suppress import scan_suppressions
 
 HOT = "# repro: hot-path\n"

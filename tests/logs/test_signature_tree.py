@@ -1,10 +1,12 @@
 """Tests for repro.logs.signature_tree."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from repro.logs import signature_tree
 from repro.logs.signature_tree import (
     WILDCARD,
+    _VARIABLE_PATTERNS,
     SignatureTree,
     _agreement,
     _matches,
@@ -14,7 +16,18 @@ from repro.logs.signature_tree import (
     render_signature,
     tokenize,
 )
+from repro.logs.templates import TemplateStore
 from tests.conftest import make_message
+
+#: Pieces of the five variable shapes and their near misses: ASCII and
+#: Unicode digits, separators, the hex prefix, interface prefixes and
+#: duration units.
+TOKEN_PIECES = (
+    "0", "7", "12", "255", "1000", "\u0663", "\uff15", "\u09ed",
+    ".", ":", "/", "%", "-", "0x", "x", "a", "F", "g",
+    "ge", "xe", "et", "ae", "lo", "irb", "fxp",
+    "ms", "s", "us", "\n", " ",
+)
 
 
 class TestTokenize:
@@ -52,6 +65,50 @@ class TestVariableTokens:
     )
     def test_stable(self, token):
         assert not is_variable_token(token)
+
+    @pytest.mark.parametrize(
+        "token, variable",
+        [("12\n", True), ("10.0.0.1\n", True), ("12\n\n", False),
+         ("\n12", False), ("12 ", False)],
+    )
+    def test_trailing_newline_as_each_pattern(self, token, variable):
+        """``$`` also matches before one final newline, in the one
+        regex as in each of the five."""
+        assert is_variable_token(token) is variable
+
+    @settings(max_examples=400)
+    @given(
+        st.one_of(
+            st.text(max_size=12),
+            st.lists(st.sampled_from(TOKEN_PIECES), max_size=8).map(
+                "".join
+            ),
+        ),
+        st.booleans(),
+    )
+    def test_one_regex_equals_the_five_patterns(self, token, newline):
+        token += "\n" if newline else ""
+        assert is_variable_token(token) == any(
+            pattern.match(token) for pattern in _VARIABLE_PATTERNS
+        )
+
+    def test_cache_keeps_only_the_stable_vocabulary(self, monkeypatch):
+        """Distinct numbers and addresses go through the regex each
+        time; the cache ends at the stable tokens alone."""
+        monkeypatch.setattr(signature_tree, "_STABLE_TOKENS", {})
+        messages = [
+            make_message(
+                text=f"BGP_UPDATE: peer 10.{i >> 8}.{i & 255}.1 sent {i} "
+                f"prefixes in {i}ms"
+            )
+            for i in range(20_000)
+        ]
+        store = TemplateStore().fit(messages[:10])
+        ids = store.match_ids(messages)
+        assert set(ids.tolist()) == {1}
+        assert sorted(signature_tree._STABLE_TOKENS) == [
+            "BGP_UPDATE:", "in", "peer", "prefixes", "sent",
+        ]
 
 
 class TestSignatureAlgebra:

@@ -132,6 +132,19 @@ class TestSequentialInfer:
         assert np.array_equal(predicted_tail, predicted)
         assert model.layers[1]._cache is None
 
+    @pytest.mark.parametrize("n", [1, 2, 11])
+    def test_predict_one_chunk_is_infer(self, n):
+        """One chunk comes back as ``infer`` made it: equal bits, shape
+        and dtype, and nothing the next call overwrites."""
+        model = make_model()
+        x = make_inputs(n)
+        first = model.predict(x)
+        again = model.predict(x)
+        assert np.array_equal(first, model.infer(x))
+        assert first.shape == (n, 32)
+        assert first.dtype == np.float64
+        assert not np.shares_memory(first, again)
+
     def test_empty_batch(self):
         model = make_model()
         out = model.infer(make_inputs(0))

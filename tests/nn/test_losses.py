@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.nn.activations import log_softmax
 from repro.nn.losses import MeanSquaredError, SoftmaxCrossEntropy
 
 
@@ -65,6 +66,20 @@ class TestSoftmaxCrossEntropy:
         )
         assert ll[0] == pytest.approx(np.log(0.7))
         assert ll[1] == pytest.approx(np.log(0.8))
+
+    @pytest.mark.parametrize("classes", [1, 7, 160, 384])
+    @pytest.mark.parametrize("batch", [1, 2, 255, 256])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_log_likelihoods_bitwise_log_softmax(self, batch, classes, dtype):
+        """The target column alone equals the whole log-softmax matrix
+        indexed at the targets, bit for bit."""
+        rng = np.random.default_rng(batch * 1000 + classes)
+        logits = (rng.standard_normal((batch, classes)) * 8).astype(dtype)
+        targets = rng.integers(0, classes, batch)
+        expected = log_softmax(logits, axis=-1)[np.arange(batch), targets]
+        got = SoftmaxCrossEntropy.log_likelihoods(logits, targets)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
 
     def test_extreme_logits_finite(self):
         logits = np.array([[1e5, -1e5]])

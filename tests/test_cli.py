@@ -743,8 +743,54 @@ class TestRefusedInput:
         err = capfd.readouterr().err
         assert len(err.splitlines()) == 1
         assert reason.format(**paths) in err
-        if reason.startswith("--"):
-            assert not paths["data"].exists()
+        assert not paths["data"].exists()
+
+    @pytest.mark.parametrize(
+        "first",
+        [
+            ["--model", "{missing}"],
+            ["--model", "{torn}"],
+            [],
+            ["--model", "{model}", "--rca", "--topology", "{missing}"],
+            ["--rollback"],
+        ],
+        ids=[
+            "missing-model", "missing-templates", "no-model", "no-topology",
+            "rollback",
+        ],
+    )
+    @pytest.mark.parametrize("shards", ["1", "2"])
+    def test_refused_first_run_leaves_data_dir_free(
+        self, workflow, tmp_path, capfd, first, shards
+    ):
+        """A first run refused for its model, its topology or a
+        rollback with nothing to roll back writes nothing, so a rerun
+        with a good model and another shard count serves."""
+        torn = tmp_path / "torn-model"
+        torn.mkdir()
+        config = json.loads((workflow["model"] / "config.json").read_text())
+        config["templates"] = str(tmp_path / "no-templates.json")
+        (torn / "config.json").write_text(json.dumps(config))
+        paths = {
+            "missing": tmp_path / "no-model",
+            "torn": torn,
+            "model": workflow["model"],
+        }
+        data = tmp_path / "svc"
+        serve = [
+            "serve", "--data-dir", str(data),
+            "--trace", str(workflow["trace"]), "--threshold", "4.0",
+            "--max-ticks", "2",
+        ]
+        capfd.readouterr()
+        refused = [arg.format(**paths) for arg in first]
+        assert main([*serve, *refused, "--shards", shards]) == 2
+        assert len(capfd.readouterr().err.splitlines()) == 1
+        assert not data.exists()
+        assert main([
+            *serve, "--model", str(workflow["model"]), "--shards", "3",
+        ]) == 0
+        assert (data / "SHARDS").read_text() == "3\n"
 
 
 class TestServeModesAgree:
