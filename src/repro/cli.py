@@ -600,11 +600,20 @@ def _run_serve(args: argparse.Namespace) -> int:
         topology = FleetTopology.load(args.topology)
         specs = [replace(shard, topology=topology) for shard in specs]
     empty, detector = _stores_to_bootstrap(args, configs)
-    if args.shards > 1:
-        record_shards(args.data_dir, args.shards)
-    for store in empty:
-        release = stage_release(store, detector, args.threshold)
-        print(f"published release {release.release_id} to {store.directory}")
+    publish = None
+    if empty:
+        # Runs once every shard has read its feed: a trace that cannot
+        # be read leaves no release and no data dir behind.
+        def publish() -> None:
+            if args.shards > 1:
+                record_shards(args.data_dir, args.shards)
+            for store in empty:
+                release = stage_release(store, detector, args.threshold)
+                print(
+                    f"published release {release.release_id} to "
+                    f"{store.directory}"
+                )
+
     job = ServeJob(
         trace=args.trace,
         read=_serve_feed,
@@ -614,11 +623,11 @@ def _run_serve(args: argparse.Namespace) -> int:
         adapt=_adapt_config(args),
     )
     if args.shards == 1:
-        outcome = serve_shard(specs[0], job)
+        outcome = serve_shard(specs[0], job, publish=publish)
         _report(args, outcome, "")
         print(f"state in {args.data_dir}")
         return outcome.exit_code
-    outcomes = serve_fleet(args.data_dir, specs, job)
+    outcomes = serve_fleet(args.data_dir, specs, job, publish)
     for shard, outcome in zip(specs, outcomes):
         _report(args, outcome, f"shard {shard.shard:02d}: ")
     print(f"served across {args.shards} shards; fleet state in {args.data_dir}")

@@ -30,20 +30,38 @@ def sigmoid(
     results are unchanged down to the ulp (NaN propagates through the
     ``(1 - m) t`` term).  ``out`` (optional) receives the result in
     place; passing ``out=x`` is safe because ``x`` is fully consumed
-    before the divide writes.
+    before the numerator is written.  The ufuncs run in
+    :func:`sigmoid_into`.
     """
     x = np.asarray(x)
     if x.dtype not in (np.float32, np.float64):
         x = x.astype(np.float64)
-    exp_neg = np.exp(-np.abs(x))
-    mask = np.greater_equal(x, 0).astype(x.dtype)
-    numerator = 1.0 - mask
-    numerator *= exp_neg
-    numerator += mask
-    exp_neg += 1.0
     if out is None:
-        out = numerator
-    return np.divide(numerator, exp_neg, out=out)
+        out = np.empty_like(x)
+    return sigmoid_into(x, out, np.empty_like(x), np.empty_like(x))
+
+
+def sigmoid_into(
+    x: np.ndarray,
+    out: np.ndarray,
+    exp_neg: np.ndarray,
+    mask: np.ndarray,
+) -> np.ndarray:
+    """:func:`sigmoid` of a float array into ``out``, allocating nothing.
+
+    ``exp_neg`` and ``mask`` are scratch shaped like ``x``; ``out`` or
+    ``mask`` (not both) may be ``x``, which is read before either is
+    written.
+    """
+    np.abs(x, out=exp_neg)
+    np.negative(exp_neg, out=exp_neg)
+    np.exp(exp_neg, out=exp_neg)
+    np.greater_equal(x, 0, out=mask)
+    np.subtract(1.0, mask, out=out)
+    out *= exp_neg
+    out += mask
+    exp_neg += 1.0
+    return np.divide(out, exp_neg, out=out)
 
 
 def sigmoid_grad(output: np.ndarray) -> np.ndarray:

@@ -341,8 +341,12 @@ class TupleEmbedding(Layer):
         gaps = self.gap_embedding.forward(x[..., 1], training)
         return np.concatenate([ids, gaps], axis=-1)
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        """Cache-free lookup via the fused table (one gather)."""
+    def codes(self, x: np.ndarray) -> np.ndarray:
+        """``id * gap_vocabulary + gap`` for each tuple of ``x``.
+
+        Indexes the rows of the flattened fused table; raises
+        ``ValueError`` for an id or gap outside its vocabulary.
+        """
         ids = np.asarray(x, dtype=np.int64)
         tids = ids[..., 0]
         gaps = ids[..., 1]
@@ -362,7 +366,15 @@ class TupleEmbedding(Layer):
                 "embedding ids out of range "
                 f"[0, {self.gap_embedding.vocabulary})"
             )
-        return self._fused_table()[tids, gaps]
+        return tids * self.gap_embedding.vocabulary + gaps
+
+    def fused_rows(self) -> np.ndarray:
+        """The fused table as ``(id_vocab * gap_vocab, dim)`` rows."""
+        return self._fused_table().reshape(-1, self.output_dim)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """Cache-free lookup via the fused table (one gather)."""
+        return self.fused_rows()[self.codes(x)]
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         """Split ``grad`` by field and scatter into each table."""

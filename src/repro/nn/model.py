@@ -21,6 +21,7 @@ import numpy as np
 from repro import telemetry
 from repro.nn.layers import Layer
 from repro.nn.losses import Loss
+from repro.nn.lstm import StackInference
 from repro.nn.optimizers import Optimizer, ParamTriple
 
 #: Version of the ``.npz`` weight archive layout written by
@@ -81,6 +82,15 @@ class Sequential:
         #: optimizer steps do not bump it; quantize from models that
         #: are not mid-training.
         self.weights_version = 0
+        #: The detector stack's exact inference path with its
+        #: first-step table; built on first use, dropped wherever the
+        #: weights may change, never pickled.
+        self._stack: Optional[StackInference] = None
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_stack"] = None
+        return state
 
     def build(self, input_shape: Tuple[int, ...]) -> "Sequential":
         """Build every layer given the per-sample input shape."""
@@ -116,14 +126,22 @@ class Sequential:
         ``infer`` results are row-wise independent of how samples are
         batched — the invariant the streaming scorer's bitwise
         online/offline parity rests on.
+
+        The float64 detector stack runs :class:`StackInference`, which
+        gives the same bits as the per-layer chain.
         """
         self._require_built()
         out = x
         padded = out.shape[0] == 1
         if padded:
             out = np.concatenate([out, out], axis=0)
-        for layer in self.layers:
-            out = layer.infer(out)
+        if self._stack is None:
+            self._stack = StackInference.of(self.layers)
+        if self._stack is not None and out.size:
+            out = self._stack.infer(out)
+        else:
+            for layer in self.layers:
+                out = layer.infer(out)
         return out[:1] if padded else out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -133,12 +151,15 @@ class Sequential:
         return grad
 
     def zero_grads(self) -> None:
-        """Zero every layer's accumulated gradients."""
+        """Zero every layer's accumulated gradients and drop the
+        stacked path, whose table the next optimizer step would make
+        stale."""
         for layer in self.layers:
             layer.zero_grads()
+        self._stack = None
 
     def clear_caches(self) -> None:
-        """Drop every layer's forward-pass cache.
+        """Drop every layer's forward-pass cache and inference state.
 
         Called before pickling a trained model (e.g. returning it from
         a parallel-training worker) so the payload holds weights, not
@@ -146,6 +167,7 @@ class Sequential:
         """
         for layer in self.layers:
             layer.clear_cache()
+        self._stack = None
 
     def parameter_triples(
         self, trainable_only: bool = True
@@ -311,10 +333,10 @@ class Sequential:
                 # loads float64 archives (and vice versa) cleanly.
                 param[...] = value.astype(param.dtype, copy=False)
         # TupleEmbedding shares buffers with child layers; re-link.
-        # zero_grads also drops per-layer derived caches (the fused
-        # embedding table) that the new weights invalidate.
-        for layer in self.layers:
-            layer.zero_grads()
+        # zero_grads also drops the derived inference state (the fused
+        # embedding table, the stacked path) that the new weights
+        # invalidate.
+        self.zero_grads()
         self.weights_version += 1
 
     @property

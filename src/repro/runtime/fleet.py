@@ -18,7 +18,9 @@ therefore N copies of single-shard ``serve``:
   waits until every one has opened, recovered and read its feed, so a
   startup error in any shard aborts them all before one ingests.  Then
   it lets them drain, merges their telemetry registries into its own
-  and joins them.
+  and joins them.  On a first run every worker reads its feed before
+  the coordinator takes the fleet lock and publishes the releases, so
+  a feed that any shard cannot read leaves no data dir behind.
 
 A shard that crashes does not stop the others.  ``serve --replay``
 restarts the fleet: each shard's WAL replay re-scores its journaled
@@ -33,7 +35,7 @@ import multiprocessing
 import pathlib
 import sys
 from multiprocessing import connection
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro import telemetry
 from repro.runtime.lock import LOCK_FILENAME, OwnerLock
@@ -137,25 +139,36 @@ def _worker_main(
     job: ServeJob,
     shards: int,
     conn: "connection.Connection",
+    first_run: bool,
 ) -> None:
     """Worker process entry point: one shard's :func:`serve_shard`.
 
-    Sends ``ready`` once the session is open and recovered and the feed
-    is read, then waits for ``go``.  Ends with a ``done`` frame (the
-    outcome and the worker's telemetry snapshot), or with an ``error``
-    frame and exit code 2 on a typed error, so no worker traceback
-    reaches the operator.
+    On a first run it sends ``read`` once its feed is read and waits
+    for ``open``, which comes after the coordinator published every
+    shard's release.  It sends ``ready`` once the session is open and
+    recovered and the feed is read, then waits for ``go``.  Ends with
+    a ``done`` frame (the outcome and the worker's telemetry
+    snapshot), or with an ``error`` frame and exit code 2 on a typed
+    error, so no worker traceback reaches the operator.
     """
     registry = telemetry.MetricsRegistry()
 
-    def ready() -> None:
-        _send(conn, {"kind": "ready"})
-        if json.loads(conn.recv_bytes())["kind"] != "go":
+    def await_frame(sent: str, expected: str) -> None:
+        _send(conn, {"kind": sent})
+        if json.loads(conn.recv_bytes())["kind"] != expected:
             raise FleetError("another shard failed to start")
+
+    def ready() -> None:
+        await_frame("ready", "go")
+
+    def published() -> None:
+        await_frame("read", "open")
 
     with telemetry.use(registry):
         try:
-            outcome = serve_shard(spec, job, shards, ready)
+            outcome = serve_shard(
+                spec, job, shards, ready, published if first_run else None
+            )
         except SESSION_ERRORS as error:
             _send(conn, {"kind": "error", "error": str(error)})
             exit_code = 2
@@ -191,14 +204,28 @@ class _Worker:
             return {}
 
 
+def _await_all(workers: Sequence[_Worker], kind: str) -> None:
+    """Wait for a ``kind`` frame from every worker; raise
+    :class:`FleetError` naming the first one that sent anything else."""
+    for worker in workers:
+        frame = worker.recv()
+        if frame.get("kind") != kind:
+            worker.process.join()
+            reason = frame.get("error") or f"exit {worker.process.exitcode}"
+            raise FleetError(f"shard {worker.shard} failed to start: {reason}")
+
+
 def serve_fleet(
     data_dir: Union[str, pathlib.Path],
     specs: Sequence[SessionSpec],
     job: ServeJob,
+    publish: Optional[Callable[[], None]] = None,
 ) -> List[ShardOutcome]:
     """Serve each shard spec (see :func:`shard_spec`) in its own worker.
 
-    Holds the fleet's owner lock throughout.  No worker ingests before
+    Holds the fleet's owner lock from the first write on.  ``publish``
+    is a first run's bootstrap: it runs once every worker has read its
+    feed and before any opens its session.  No worker ingests before
     every worker is ready: a startup failure raises :class:`FleetError`
     naming the shard, and the others end without a tick or checkpoint.
     Once all are done, their telemetry merges into the current default
@@ -207,7 +234,8 @@ def serve_fleet(
     worker that died without reporting counts as crashed.
     """
     lock = OwnerLock(pathlib.Path(data_dir) / LOCK_FILENAME)
-    lock.acquire()
+    if publish is None:
+        lock.acquire()
     workers: List[_Worker] = []
     verdict = "abort"
     try:
@@ -216,7 +244,7 @@ def serve_fleet(
             parent_conn, child_conn = context.Pipe()
             process = context.Process(
                 target=_worker_main,
-                args=(spec, job, len(specs), child_conn),
+                args=(spec, job, len(specs), child_conn, publish is not None),
                 name=f"repro-shard-{spec.shard:02d}",
             )
             process.start()
@@ -224,16 +252,13 @@ def serve_fleet(
             # surfaces as EOF instead of a silent hang.
             child_conn.close()
             workers.append(_Worker(spec.shard, process, parent_conn))
-        for worker in workers:
-            frame = worker.recv()
-            if frame.get("kind") != "ready":
-                worker.process.join()
-                reason = frame.get("error") or (
-                    f"exit {worker.process.exitcode}"
-                )
-                raise FleetError(
-                    f"shard {worker.shard} failed to start: {reason}"
-                )
+        if publish is not None:
+            _await_all(workers, "read")
+            lock.acquire()
+            publish()
+            for worker in workers:
+                _send(worker.conn, {"kind": "open"})
+        _await_all(workers, "ready")
         verdict = "go"
         for worker in workers:
             _send(worker.conn, {"kind": verdict})

@@ -355,17 +355,35 @@ def serve_shard(
     job: ServeJob,
     shards: int = 1,
     ready: Callable[[], None] = lambda: None,
+    publish: Optional[Callable[[], None]] = None,
 ) -> ShardOutcome:
     """One shard's whole serve: open, recover, read, drain, close.
 
     A session whose ``spec.shard`` is set reads only the vPE files
     :func:`~repro.runtime.ring.shard_of` gives it among ``shards``.
-    ``ready`` runs once the session is open and recovered and the feed
-    is read, just before the first live tick; a fleet worker reports
-    there and waits for every other shard.  A simulated crash ends the
-    session like a dead process (exit code 3); any other exception
-    abandons it, so no checkpoint covers state this run did not apply.
+    ``publish`` is a first run's bootstrap of the empty store: the
+    feed is read before it runs and before the session opens, so a
+    feed that cannot be read leaves no release and no data dir behind
+    (a fleet worker's ``publish`` waits there until every shard has
+    read its feed).  ``ready`` runs once the session is open and
+    recovered and the feed is read, just before the first live tick;
+    a fleet worker reports there and waits for every other shard.  A
+    simulated crash ends the session like a dead process (exit code
+    3); any other exception abandons it, so no checkpoint covers state
+    this run did not apply.
     """
+
+    def read() -> MessageBatch:
+        if job.trace is None:
+            return MessageBatch.of(())
+        return job.read(job.trace, None if spec.shard is None else (
+            lambda vpe: shard_of(vpe, shards) == spec.shard
+        ))
+
+    feed = None
+    if publish is not None:
+        feed = read()
+        publish()
     controller = None if job.adapt is None else AdaptationController(job.adapt)
     session = ServeSession(spec, controller)
     recovered = None
@@ -383,11 +401,8 @@ def serve_shard(
                 "messages": report.messages_replayed,
                 "swaps": report.swaps_replayed,
             }
-        feed = MessageBatch.of(())
-        if job.trace is not None:
-            feed = job.read(job.trace, None if spec.shard is None else (
-                lambda vpe: shard_of(vpe, shards) == spec.shard
-            ))
+        if feed is None:
+            feed = read()
         ready()
         live_ticks = session.drain(feed, job.tick_size, job.max_ticks)
         session.close()

@@ -255,6 +255,51 @@ class TestFitStreams:
         assert len(detector.score(a[:50])) > 0
 
 
+class TestInferenceState:
+    """Scoring builds derived inference state (the first-step table and
+    gate-major weights); training in place must never leave it stale."""
+
+    @staticmethod
+    def fresh_twin(detector, tmp_path):
+        path = str(tmp_path / "trained.npz")
+        detector.save_weights(path)
+        twin = LSTMAnomalyDetector(
+            detector.store, vocabulary_capacity=16, window=4,
+            hidden=(12, 12), id_dim=8, seed=5,
+        )
+        twin.restore_weights(path)
+        return twin
+
+    def test_fit_streams_in_place(self, tmp_path):
+        detector, a, b = TestFitStreams()._build()
+        detector.epochs = 2
+        detector.fit_streams([a, b])
+        stream = a[:120]
+        first = detector.score(stream).scores
+        detector.fit_streams([a, b])
+        again = detector.score(stream).scores
+        assert not np.array_equal(again, first)
+        expected = self.fresh_twin(detector, tmp_path).score(stream)
+        assert np.array_equal(again, expected.scores)
+
+    def test_adapt_student_and_teacher(self, trained_detector, tmp_path):
+        stream = cyclic_stream(120)
+        teacher_scores = trained_detector.score(stream).scores
+        reversed_cycle = [
+            make_message(
+                timestamp=TRACE_START + 1e6 + i * 10.0,
+                text=TEXTS[::-1][i % 4],
+            )
+            for i in range(300)
+        ]
+        student = trained_detector.adapt(reversed_cycle, epochs=2)
+        expected = self.fresh_twin(student, tmp_path).score(stream)
+        assert np.array_equal(student.score(stream).scores, expected.scores)
+        assert np.array_equal(
+            trained_detector.score(stream).scores, teacher_scores
+        )
+
+
 class TestPersistence:
     def test_save_restore_roundtrip(self, trained_detector, tmp_path):
         path = str(tmp_path / "weights.npz")

@@ -8,6 +8,7 @@ from repro.core.detector import LSTMAnomalyDetector
 from repro.core.stream import StreamScorer
 from repro.logs.sequences import N_GAP_BUCKETS, gap_bucket
 from repro.logs.templates import TemplateStore
+from repro.nn.model import Sequential
 from repro.timeutil import TRACE_START
 from tests.conftest import make_message
 
@@ -51,6 +52,25 @@ def build_detector():
 @pytest.fixture(scope="module")
 def detector():
     return build_detector()
+
+
+def test_scoring_runs_through_sequential_predict(detector, monkeypatch):
+    """A serve tick and offline scoring both reach
+    ``Sequential.predict``, the name the e2e ledger wraps to time
+    inference (``nn.predict``)."""
+    calls = []
+    predict = Sequential.predict
+
+    def counted(model, x, *args, **kwargs):
+        calls.append(len(x))
+        return predict(model, x, *args, **kwargs)
+
+    monkeypatch.setattr(Sequential, "predict", counted)
+    stream = cyclic_stream(40)
+    StreamScorer(detector).observe_batch(stream)
+    assert calls == [40 - WINDOW]
+    detector.score(stream)
+    assert calls == [40 - WINDOW, 40 - WINDOW]
 
 
 def interleaved_streams(n_devices, per_device=60):

@@ -8,15 +8,22 @@ one pad), which is what the streaming scorer's bitwise online/offline
 parity rests on.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.logs.sequences import N_GAP_BUCKETS
 from repro.nn import GRU, LSTM, Dense, Sequential, TupleEmbedding
 from repro.nn.layers import Dropout, Embedding
+from tests.nn.test_fused_regression import _seed_lstm
 
 
-def make_model(dtype=np.float64, vocabulary=32, window=6):
+def make_model(dtype=np.float64, vocabulary=32, window=6, upper=GRU,
+               hidden=14):
+    """An embedding, an LSTM and ``upper`` under a Dense head; with
+    ``upper=LSTM`` it is the detector stack, which ``infer`` runs on
+    its stacked path at float64."""
     return Sequential(
         [
             TupleEmbedding(
@@ -27,8 +34,8 @@ def make_model(dtype=np.float64, vocabulary=32, window=6):
                 name="embedding",
                 dtype=dtype,
             ),
-            LSTM(14, return_sequences=True, name="lstm1", dtype=dtype),
-            GRU(12, name="lstm2", dtype=dtype),
+            LSTM(hidden, return_sequences=True, name="lstm1", dtype=dtype),
+            upper(12 if upper is GRU else hidden, name="lstm2", dtype=dtype),
             Dense(vocabulary, name="output", dtype=dtype),
         ],
         rng=np.random.default_rng(7),
@@ -36,10 +43,44 @@ def make_model(dtype=np.float64, vocabulary=32, window=6):
 
 
 def make_inputs(n, vocabulary=32, window=6, seed=0):
+    """Random tuples whose first tuples walk every ``(id, gap)`` code in
+    turn, so a batch of ``vocabulary * N_GAP_BUCKETS`` covers them all."""
     rng = np.random.default_rng(seed)
     ids = rng.integers(0, vocabulary, (n, window))
     gaps = rng.integers(0, N_GAP_BUCKETS, (n, window))
+    ids[:, 0], gaps[:, 0] = np.divmod(
+        np.arange(n) % (vocabulary * N_GAP_BUCKETS), N_GAP_BUCKETS
+    )
     return np.stack([ids, gaps], axis=-1).astype(np.int64)
+
+
+def seed_logits(model, x):
+    """The detector stack through the seed's per-step LSTM loop."""
+    embedding, lower, upper, output = model.layers
+    embedded = np.concatenate(
+        [
+            embedding.id_embedding.params["E"][x[..., 0]],
+            embedding.gap_embedding.params["E"][x[..., 1]],
+        ],
+        axis=-1,
+    )
+    no_grad = np.zeros((x.shape[0], upper.hidden))
+    sequence, _, _ = _seed_lstm(lower.params, embedded, no_grad)
+    top, _, _ = _seed_lstm(upper.params, sequence, no_grad)
+    return top[:, -1] @ output.params["W"] + output.params["b"]
+
+
+#: The LSTM-GRU model, then the detector stack at every hidden size,
+#: window and batch size the stacked path must match bit for bit.
+STACKS = [pytest.param(GRU, 14, 6, 23, id="lstm-gru")] + [
+    pytest.param(
+        LSTM, hidden, window, batch,
+        id=f"lstm-lstm-h{hidden}-w{window}-b{batch}",
+    )
+    for hidden in (1, 5, 24)
+    for window in (1, 2, 8)
+    for batch in (1, 2, 3, 255, 256, 257)
+]
 
 
 class TestLayerInfer:
@@ -90,18 +131,51 @@ class TestLayerInfer:
 
 
 class TestSequentialInfer:
-    def test_infer_matches_forward_bitwise(self):
-        model = make_model()
-        x = make_inputs(23)
-        fwd = model.forward(x, training=False)
+    @pytest.mark.parametrize("upper, hidden, window, batch", STACKS)
+    def test_infer_matches_forward_bitwise(self, upper, hidden, window,
+                                           batch):
+        model = make_model(window=window, upper=upper, hidden=hidden)
+        x = make_inputs(batch, window=window)
+        # forward has no batch-of-one pad: score the row in a pair.
+        pair = x if batch > 1 else np.concatenate([x, x])
+        fwd = model.forward(pair, training=False)[:batch]
         model.clear_caches()
         inf = model.infer(x)
         assert np.array_equal(fwd, inf)
+        assert np.array_equal(model.predict(x), fwd)
+        if upper is LSTM:
+            assert np.array_equal(seed_logits(model, pair)[:batch], fwd)
         # no layer retained a cache
         for layer in model.layers:
             layer.clear_cache()  # must be a no-op, not an error
         assert model.layers[1]._cache is None
         assert model.layers[3]._cache_x is None
+
+    @pytest.mark.parametrize("upper", [GRU, LSTM])
+    @pytest.mark.parametrize("field, value", [(0, 32), (0, -1),
+                                              (1, N_GAP_BUCKETS)])
+    def test_out_of_range_ids_raise(self, upper, field, value):
+        model = make_model(upper=upper)
+        x = make_inputs(4)
+        x[2, 3, field] = value
+        with pytest.raises(ValueError, match="out of range"):
+            model.predict(x)
+
+    def test_second_predict_allocates_no_scratch(self):
+        """Steady-state ticks reuse the stacked path's scratch: a second
+        predict of the same shape keeps nothing but its result."""
+        model = make_model(upper=LSTM, hidden=24, window=8)
+        x = make_inputs(256, window=8)
+        model.predict(x)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = model.predict(x)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # The step scratch alone is 11 * 256 * 24 doubles (540 KB).
+        assert kept < result.nbytes + 16 * 1024
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_batch_composition_independence(self, dtype):

@@ -1,5 +1,7 @@
 """Tests for repro.nn.model (Sequential container)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,27 @@ def small_classifier(seed=0):
         rng=np.random.default_rng(seed),
     )
     return model.build((4,))
+
+
+def detector_stack(seed=0, hidden=6):
+    """TupleEmbedding → LSTM → LSTM → Dense, which ``predict`` runs on
+    the stacked path with its first-step table."""
+    return Sequential(
+        [
+            TupleEmbedding(6, 3, id_dim=4, gap_dim=2, name="embedding"),
+            LSTM(hidden, return_sequences=True, name="lstm1"),
+            LSTM(hidden, name="lstm2"),
+            Dense(6, name="out"),
+        ],
+        rng=np.random.default_rng(seed),
+    ).build((4, 2))
+
+
+def stack_windows(n=40, seed=0):
+    rng = np.random.default_rng(seed)
+    return np.stack(
+        [rng.integers(0, 6, (n, 4)), rng.integers(0, 3, (n, 4))], axis=-1
+    )
 
 
 def toy_data(n=300, seed=0):
@@ -185,6 +208,33 @@ class TestCloneAndPersistence:
         weights["out.W"] = np.zeros((1, 1))
         with pytest.raises(ValueError):
             model.set_weights(weights)
+
+    def test_set_weights_rebuilds_first_step_table(self):
+        """A hot swap or checkpoint restore loads weights through
+        set_weights: the next predict must not read step-0 states of
+        the old weights."""
+        model, other = detector_stack(seed=0), detector_stack(seed=1)
+        x = stack_windows()
+        before = model.predict(x)
+        model.set_weights(other.get_weights())
+        after = model.predict(x)
+        assert np.array_equal(after, other.predict(x))
+        assert not np.array_equal(after, before)
+
+    def test_inference_state_is_never_pickled(self):
+        """Parallel training pickles models after clear_caches(): the
+        first-step table, the gate-major weights and the scratch a
+        predict built must not ride along."""
+        model = detector_stack(hidden=24)
+        cold = len(pickle.dumps(model))
+        model.predict(stack_windows(300))
+        restored = pickle.loads(pickle.dumps(model))
+        assert restored._stack is None
+        assert np.array_equal(
+            restored.predict(stack_windows()), model.predict(stack_windows())
+        )
+        model.clear_caches()
+        assert len(pickle.dumps(model)) <= cold
 
     def test_tuple_embedding_save_load_keeps_sharing(self, tmp_path):
         model = Sequential(

@@ -17,6 +17,7 @@ import pytest
 from repro.cli import _report, main, read_trace
 from repro.runtime.blas import blas_threads
 from repro.runtime.session import ShardOutcome
+from repro.runtime.store import ArtifactStore
 from repro.runtime.wal import WriteAheadLog
 
 
@@ -753,44 +754,66 @@ class TestRefusedInput:
             [],
             ["--model", "{model}", "--rca", "--topology", "{missing}"],
             ["--rollback"],
+            ["--model", "{model}", "--trace", "{missing}"],
+            ["--model", "{model}", "--trace", "{unlisted}"],
+            ["--model", "{model}", "--trace", "{unparsed}"],
         ],
         ids=[
             "missing-model", "missing-templates", "no-model", "no-topology",
-            "rollback",
+            "rollback", "missing-trace", "vpe-without-file",
+            "vpe-file-unparsed",
         ],
     )
     @pytest.mark.parametrize("shards", ["1", "2"])
     def test_refused_first_run_leaves_data_dir_free(
         self, workflow, tmp_path, capfd, first, shards
     ):
-        """A first run refused for its model, its topology or a
-        rollback with nothing to roll back writes nothing, so a rerun
-        with a good model and another shard count serves."""
+        """A first run refused for its model, its topology, its trace
+        or a rollback with nothing to roll back writes nothing, so a
+        rerun with a good model, another threshold and another shard
+        count serves that threshold."""
         torn = tmp_path / "torn-model"
         torn.mkdir()
         config = json.loads((workflow["model"] / "config.json").read_text())
         config["templates"] = str(tmp_path / "no-templates.json")
         (torn / "config.json").write_text(json.dumps(config))
+        # Under --shards 2 only the shard owning vpe02 cannot read its
+        # feed; the fleet must refuse the whole first run.
+        unlisted = tmp_path / "unlisted-trace"
+        shutil.copytree(workflow["trace"], unlisted)
+        (unlisted / "vpe02.jsonl").unlink()
+        unparsed = tmp_path / "unparsed-trace"
+        shutil.copytree(workflow["trace"], unparsed)
+        with open(unparsed / "vpe02.jsonl", "a") as handle:
+            handle.write('{"ts": 1e18, "host": "vpe02"\n')
         paths = {
             "missing": tmp_path / "no-model",
             "torn": torn,
             "model": workflow["model"],
+            "unlisted": unlisted,
+            "unparsed": unparsed,
         }
         data = tmp_path / "svc"
         serve = [
             "serve", "--data-dir", str(data),
-            "--trace", str(workflow["trace"]), "--threshold", "4.0",
-            "--max-ticks", "2",
+            "--trace", str(workflow["trace"]), "--max-ticks", "2",
         ]
         capfd.readouterr()
         refused = [arg.format(**paths) for arg in first]
-        assert main([*serve, *refused, "--shards", shards]) == 2
+        assert main([
+            *serve, *refused, "--threshold", "6.0", "--shards", shards,
+        ]) == 2
         assert len(capfd.readouterr().err.splitlines()) == 1
         assert not data.exists()
         assert main([
-            *serve, "--model", str(workflow["model"]), "--shards", "3",
+            *serve, "--model", str(workflow["model"]),
+            "--threshold", "4.0", "--shards", "3",
         ]) == 0
         assert (data / "SHARDS").read_text() == "3\n"
+        for shard in range(3):
+            store = ArtifactStore(data / f"shard-{shard:02d}" / "store")
+            config = json.loads(store.read(store.current_id(), "config.json"))
+            assert config["threshold"] == 4.0
 
 
 class TestServeModesAgree:
