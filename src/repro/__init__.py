@@ -20,9 +20,11 @@ for NFV deployments:
 
 This init re-exports nothing, and neither do those of the subpackages
 that hold serve-path and offline modules side by side (``core``,
-``devtools``, ``features``, ``ml``, ``tickets``): import from the
-submodules (``from repro.core.detector import LSTMAnomalyDetector``),
-so that ``python -m repro serve`` loads only the modules it runs.
+``devtools``, ``features``, ``ml``, ``tickets``) and of ``runtime``,
+whose ``blas`` module ``repro.__main__`` reads before numpy loads:
+import from the submodules
+(``from repro.core.detector import LSTMAnomalyDetector``), so that
+``python -m repro serve`` loads only the modules it runs.
 """
 
 from repro.version import __version__

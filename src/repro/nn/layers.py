@@ -261,6 +261,12 @@ class TupleEmbedding(Layer):
         # every training step).
         self._fused: Optional[np.ndarray] = None
 
+    def __getstate__(self) -> dict:
+        # Derived from the weights: pickles and clones rebuild it.
+        state = self.__dict__.copy()
+        state["_fused"] = None
+        return state
+
     @property
     def output_dim(self) -> int:
         """Concatenated width of the per-field embeddings."""

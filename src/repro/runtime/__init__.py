@@ -20,8 +20,9 @@ in-memory streaming engine:
   RCA, crash drill, CSV sinks) and ``serve_shard``, one whole run of it,
   called in-process by ``python -m repro serve`` and inside every fleet
   worker;
-* :mod:`repro.runtime.blas` — the BLAS thread count a serve process
-  runs on (one per process, set by the session);
+* :mod:`repro.runtime.blas` — the one BLAS thread a serve process runs
+  on: pinned at load by ``python -m repro serve``, limited at run time
+  by every open session;
 * :mod:`repro.runtime.lock` — pid-stamped owner lockfiles so two
   processes can never append to one service's WAL;
 * :mod:`repro.runtime.ring` — ``shard_of``, the deterministic
@@ -33,75 +34,8 @@ in-memory streaming engine:
   controller: drift watch → background fine-tune → journaled hot
   swap → probation guard with automatic rollback
   (``python -m repro serve --auto-adapt``).
+
+This init re-exports nothing: import from the submodules, so that
+``import repro.runtime.blas`` loads neither numpy nor the rest of the
+runtime.
 """
-
-from repro.runtime.adapt import (
-    AdaptConfig,
-    AdaptationController,
-    poison_detector,
-)
-from repro.runtime.checkpoint import (
-    Checkpoint,
-    CheckpointError,
-    read_checkpoint,
-    write_checkpoint,
-)
-from repro.runtime.fleet import FleetError, serve_fleet, shard_spec
-from repro.runtime.lock import LockHeldError, OwnerLock
-from repro.runtime.ring import shard_of
-from repro.runtime.service import (
-    MonitorService,
-    ReplayReport,
-    ServiceConfig,
-    ServiceError,
-    TickResult,
-    detector_from_release,
-    stage_release,
-)
-from repro.runtime.session import (
-    ServeJob,
-    ServeSession,
-    SessionSpec,
-    ShardOutcome,
-    serve_shard,
-)
-from repro.runtime.store import ArtifactStore, Release, StoreError
-from repro.runtime.wal import (
-    WalCorruptionError,
-    WalRecord,
-    WriteAheadLog,
-)
-
-__all__ = [
-    "AdaptConfig",
-    "AdaptationController",
-    "ArtifactStore",
-    "Checkpoint",
-    "CheckpointError",
-    "FleetError",
-    "LockHeldError",
-    "MonitorService",
-    "OwnerLock",
-    "Release",
-    "ReplayReport",
-    "ServeJob",
-    "ServeSession",
-    "ServiceConfig",
-    "ServiceError",
-    "SessionSpec",
-    "ShardOutcome",
-    "StoreError",
-    "TickResult",
-    "WalCorruptionError",
-    "WalRecord",
-    "WriteAheadLog",
-    "detector_from_release",
-    "poison_detector",
-    "read_checkpoint",
-    "serve_fleet",
-    "serve_shard",
-    "shard_of",
-    "shard_spec",
-    "stage_release",
-    "write_checkpoint",
-]

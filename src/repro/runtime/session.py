@@ -21,7 +21,7 @@ from repro.logs.message import MessageBatch, SyslogMessage
 from repro.logs.trace import TraceError, read_feed
 from repro.rca import DEFAULT_CLUSTER_GAP, IncidentReport, RcaEngine, incident_row
 from repro.runtime.adapt import AdaptationController, AdaptConfig
-from repro.runtime.blas import limited_blas_threads
+from repro.runtime.blas import SERVE_BLAS_THREADS, limited_blas_threads
 from repro.runtime.checkpoint import CheckpointError
 from repro.runtime.lock import LockHeldError
 from repro.runtime.ring import shard_of
@@ -44,13 +44,6 @@ SESSION_ERRORS = (
     ServiceError, StoreError, WalCorruptionError, LockHeldError,
     TopologyError, TraceError, CheckpointError,
 )
-
-
-#: BLAS threads a serve process runs on while a session is open: a
-#: tick's matmuls are too small to repay a second thread's spinning,
-#: and fleet workers' default pools would fight over the cores (see
-#: :mod:`repro.runtime.blas`).
-SERVE_BLAS_THREADS = 1
 
 
 class SimulatedCrash(Exception):
@@ -87,6 +80,10 @@ class SessionSpec:
     rca_gap: float = DEFAULT_CLUSTER_GAP
 
 
+#: A score row's tail by its ``kept`` flag.
+_KEPT_FLAGS = (",0\n", ",1\n")
+
+
 class _TickSink:
     """Append-mode CSV sinks for one session, flushed per tick.
 
@@ -112,15 +109,18 @@ class _TickSink:
         return self._files.enter_context(open(path, "a", newline=""))
 
     def write(self, results: Sequence[TickResult]) -> None:
-        """Append one row per score and per warning; flush."""
+        """Append one row per score (one write per tick) and per
+        warning; flush."""
         prefix = self._prefix
         if self._scores is not None:
             for result in results:
-                for i, score in enumerate(result.scores):
-                    self._scores.write(
-                        f"{prefix}{result.tick},{i},"
-                        f"{float(score)!r},{int(result.kept[i])}\n"
+                head = f"{prefix}{result.tick},"
+                self._scores.write("".join([
+                    f"{head}{i},{score!r}{_KEPT_FLAGS[kept]}"
+                    for i, (score, kept) in enumerate(
+                        zip(result.scores.tolist(), result.kept.tolist())
                     )
+                ]))
             self._scores.flush()
         if self._warnings is not None:
             for result in results:

@@ -236,6 +236,19 @@ class TestCloneAndPersistence:
         model.clear_caches()
         assert len(pickle.dumps(model)) <= cold
 
+    def test_fused_table_is_never_pickled_or_cloned(self):
+        """``adapt`` clones the live model: the clone must not copy
+        the fused embedding table a predict built, nor a pickle carry
+        it."""
+        model = detector_stack(hidden=24)
+        cold = len(pickle.dumps(model))
+        logits = model.predict(stack_windows(300))
+        assert model.layers[0]._fused is not None
+        assert len(pickle.dumps(model)) == cold
+        clone = model.clone()
+        assert clone.layers[0]._fused is None
+        assert np.array_equal(clone.predict(stack_windows(300)), logits)
+
     def test_tuple_embedding_save_load_keeps_sharing(self, tmp_path):
         model = Sequential(
             [

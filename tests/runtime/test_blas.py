@@ -2,8 +2,14 @@
 
 Where numpy does not run on OpenBLAS the controls report ``None``;
 that case is pinned by faking the library away, and the tests that
-need a real thread count skip.
+need a real thread count skip.  The load-time pin of ``python -m repro
+serve`` is tested in fresh interpreters, since OpenBLAS reads
+``OPENBLAS_NUM_THREADS`` only when numpy loads it.
 """
+
+import json
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +20,7 @@ from tests.runtime.test_service import (  # noqa: F401 (fixtures)
     cyclic_stream,
     detector,
 )
+from tests.test_import_graph import fresh_interpreter
 
 needs_openblas = pytest.mark.skipif(
     blas_threads() is None, reason="numpy does not run on OpenBLAS here"
@@ -55,3 +62,65 @@ def test_without_openblas_nothing_changes(monkeypatch):
     assert blas_threads() is None
     with limited_blas_threads(1) as inside:
         assert inside is None
+
+
+#: Imports ``repro.__main__`` under ``sys.argv[1:] == [<command>]``, as
+#: ``python -m repro <command>`` runs it short of calling ``main``, and
+#: reports what OpenBLAS started.
+_ENTRY_PROBE = """
+import json, os
+import repro.__main__
+from repro.runtime.blas import blas_threads
+tasks = "/proc/self/task"
+print(json.dumps({
+    "threads": blas_threads(),
+    "tasks": len(os.listdir(tasks)) if os.path.isdir(tasks) else None,
+    "variable": os.environ.get("OPENBLAS_NUM_THREADS"),
+}))
+"""
+
+
+def probe(script, *args, **env):
+    """Run ``script`` in a fresh interpreter whose environment lacks
+    ``OPENBLAS_NUM_THREADS`` unless ``env`` sets it; returns its JSON."""
+    environ = {
+        name: value
+        for name, value in os.environ.items()
+        if name != "OPENBLAS_NUM_THREADS"
+    }
+    out = fresh_interpreter(script, *args, environ={**environ, **env})
+    return json.loads(out.splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def default_pool():
+    """The library's own thread count in a fresh process."""
+    threads = probe(
+        "import json, numpy\n"
+        "from repro.runtime.blas import blas_threads\n"
+        "print(json.dumps(blas_threads()))\n"
+    )
+    if threads is None:
+        pytest.skip("numpy does not run on OpenBLAS here")
+    if threads < 2:
+        pytest.skip("one core: the default pool is one thread already")
+    return threads
+
+
+class TestServePin:
+    def test_serve_never_starts_a_pool(self, default_pool):
+        loaded = probe(_ENTRY_PROBE, "serve")
+        assert loaded["threads"] == 1
+        assert loaded["variable"] == "1"
+        if sys.platform.startswith("linux"):
+            assert loaded["tasks"] == 1
+
+    def test_operator_value_is_kept(self, default_pool):
+        loaded = probe(_ENTRY_PROBE, "serve", OPENBLAS_NUM_THREADS="3")
+        assert loaded["variable"] == "3"
+        assert loaded["threads"] > 1
+
+    def test_offline_commands_keep_the_default_pool(self, default_pool):
+        loaded = probe(_ENTRY_PROBE, "train")
+        assert loaded["threads"] == default_pool
+        assert loaded["variable"] is None

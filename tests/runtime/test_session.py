@@ -7,15 +7,18 @@ path that writes no checkpoint, and a BLAS thread limit that holds
 while the session is open and no longer.
 """
 
+import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.core.online import WarningSignature
 from repro.runtime.blas import blas_threads
-from repro.runtime.service import ServiceConfig, ServiceError
+from repro.runtime.service import ServiceConfig, ServiceError, TickResult
 from repro.runtime.session import (
     ServeSession,
     SessionSpec,
     SimulatedCrash,
+    _TickSink,
 )
 from tests.runtime.test_service import (  # noqa: F401 (fixtures)
     detector,
@@ -73,6 +76,60 @@ class TestRows:
         # Rows end in a bare newline, whatever the platform.
         text = (tmp_path / "plain-scores.csv").read_bytes()
         assert b"\r" not in text
+
+    @pytest.mark.parametrize("shard", [None, 2])
+    def test_row_bytes(self, tmp_path, shard):
+        """Floats render as ``repr`` (``nan``, ``-0.0``, ``inf``), a
+        dropped message as a ``0`` kept flag, and an empty tick as no
+        row at all."""
+        spec = SessionSpec(
+            service=ServiceConfig(tmp_path),
+            shard=shard,
+            scores_path=str(tmp_path / "scores.csv"),
+            warnings_path=str(tmp_path / "warnings.csv"),
+        )
+        warning = WarningSignature(
+            vpe="vpe03", time=1500000000.25, first_anomaly=1499999000.0,
+            n_anomalies=3, peak_score=6.5,
+        )
+        results = [
+            TickResult(
+                tick=7,
+                scores=np.array([0.1 + 0.2, np.nan, -0.0, np.inf, -1e-300]),
+                kept=np.array([True, False, True, True, True]),
+                ids=np.zeros(5, dtype=np.int64),
+                warnings=[warning],
+            ),
+            TickResult(
+                tick=8,
+                scores=np.empty(0),
+                kept=np.empty(0, dtype=bool),
+                ids=np.empty(0, dtype=np.int64),
+                warnings=[],
+            ),
+            TickResult(
+                tick=9, scores=np.array([6.5]), kept=np.array([True]),
+                ids=np.zeros(1, dtype=np.int64), warnings=[],
+            ),
+        ]
+        sink = _TickSink(spec)
+        sink.write(results)
+        sink.close()
+        prefix = "" if shard is None else f"{shard},"
+        assert (tmp_path / "scores.csv").read_bytes() == "".join(
+            prefix + row
+            for row in (
+                "7,0,0.30000000000000004,1\n",
+                "7,1,nan,0\n",
+                "7,2,-0.0,1\n",
+                "7,3,inf,1\n",
+                "7,4,-1e-300,1\n",
+                "9,0,6.5,1\n",
+            )
+        ).encode()
+        assert (tmp_path / "warnings.csv").read_bytes() == (
+            f"{prefix}7,vpe03,1500000000.25,1499999000.0,3,6.5\n".encode()
+        )
 
     def test_incident_sink_needs_rca(
         self, tmp_path, detector, threshold, ticks

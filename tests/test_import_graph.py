@@ -41,17 +41,19 @@ OFFLINE = (
 MAX_MODULES = 60
 
 
-def fresh_interpreter(script: str) -> str:
-    """Run ``script`` in a new interpreter with ``src`` on the path."""
+def fresh_interpreter(script: str, *args: str, environ=None) -> str:
+    """Run ``script`` with ``args`` in a new interpreter with ``src`` on
+    the path, in ``environ`` (default: this process's environment)."""
+    environ = os.environ if environ is None else environ
     path = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+        filter(None, [str(ROOT / "src"), environ.get("PYTHONPATH")])
     )
     return subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-c", script, *args],
         capture_output=True,
         text=True,
         check=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**environ, "PYTHONPATH": path},
     ).stdout
 
 
@@ -72,6 +74,18 @@ def test_cli_import_loads_no_offline_module():
     assert not offline, f"import repro.cli loads offline modules: {offline}"
     assert "repro.runtime.session" in loaded
     assert len(loaded) <= MAX_MODULES, loaded
+
+
+def test_blas_import_loads_no_numpy():
+    """``repro.__main__`` reads the serve thread count before numpy
+    loads, so OpenBLAS has not started its pool yet."""
+    loaded = fresh_interpreter(
+        "import sys\n"
+        "import repro.runtime.blas\n"
+        "print(*sorted(m for m in sys.modules"
+        " if m == 'numpy' or m.startswith('repro.runtime')))\n"
+    ).split()
+    assert loaded == ["repro.runtime", "repro.runtime.blas"]
 
 
 def test_readme_quickstart_imports_run():
