@@ -3,9 +3,9 @@
 These are verbatim-semantics copies of the hot-path code as it stood
 before the fused/preallocated rewrite: Python-list BPTT caches with a
 ``np.concatenate`` per backward step, ``np.add.at`` embedding scatter,
-per-offset window construction, and uncached template matching (the
-live :class:`~repro.logs.templates.TemplateStore` with
-``memo_capacity=0``).  The microbenchmarks in :mod:`hotpath` time these
+per-offset window construction, and the seed's template matching
+(:class:`LegacyTemplateStore`: a regex sweep per token, twice, over the
+live store's tree).  The microbenchmarks in :mod:`hotpath` time these
 against the live implementations so every ``BENCH_hotpath.json`` run
 carries its own before/after pair, and the regression tests assert the
 fused float64 forward is bitwise-identical to these loops.
@@ -363,7 +363,7 @@ class LegacyTemplateStore(TemplateStore):
                 (tok for tok in tokens if not _legacy_is_variable(tok)),
                 "",
             )
-            leaf = level1.get(f"{message.process}\x00{first}")
+            leaf = level1.get((message.process, first))
             if leaf is not None:
                 presig = _legacy_presignature(tokens)
                 for candidate in leaf.signatures:
@@ -374,6 +374,15 @@ class LegacyTemplateStore(TemplateStore):
             return 0
         return self._index.get((message.process, signature), 0)
 
+    def transform(
+        self, messages: Sequence[SyslogMessage]
+    ) -> List[SyslogMessage]:
+        """The seed's ``transform``: one :meth:`match` per message."""
+        return [
+            message.with_template(self.match(message))
+            for message in messages
+        ]
+
 
 def uncached_store(store: TemplateStore) -> TemplateStore:
     """A view of ``store``'s mined templates with matching uncached.
@@ -382,12 +391,13 @@ def uncached_store(store: TemplateStore) -> TemplateStore:
     i.e. the pre-optimization ``transform`` path.
     """
     clone = LegacyTemplateStore(
-        merge_threshold=store._tree.merge_threshold, memo_capacity=0
+        merge_threshold=store._tree.merge_threshold
     )
     clone._tree = store._tree
     clone._templates = list(store._templates)
     clone._index = dict(store._index)
     clone._fitted = store.fitted
+    clone._rebuild_dispatch()  # for the live methods it inherits
     return clone
 
 

@@ -128,27 +128,49 @@ def write_trace(dataset: FleetDataset, out_dir: pathlib.Path) -> None:
 def read_trace(
     trace_dir: pathlib.Path,
     owns: Optional[Callable[[str], bool]] = None,
+    with_tickets: bool = True,
 ) -> Tuple[dict, Dict[str, MessageBatch], List[TroubleTicket]]:
     """Load a trace directory written by :func:`write_trace`; with
-    ``owns``, only the message streams of the vPEs it accepts."""
+    ``owns``, only the message streams of the vPEs it accepts.  Without
+    ``with_tickets`` no ``tickets.csv`` is read (a collector's directory
+    holds none) and the ticket list is empty."""
     meta, messages = read_streams(trace_dir, owns)
-    tickets: List[TroubleTicket] = []
-    with open(trace_dir / "tickets.csv") as handle:
-        for row in csv.DictReader(handle):
-            kwargs = {}
-            if row["root_cause"] == RootCause.DUPLICATE.value:
-                # originals are not tracked in the csv; synthesize one
-                kwargs["original_ticket_id"] = -1
-            tickets.append(
-                TroubleTicket(
-                    vpe=row["vpe"],
-                    root_cause=RootCause(row["root_cause"]),
-                    report_time=float(row["report_time"]),
-                    repair_time=float(row["repair_time"]),
-                    **kwargs,
-                )
-            )
+    tickets = _read_tickets(trace_dir / "tickets.csv") if with_tickets else []
     return meta, messages, tickets
+
+
+def _read_tickets(path: pathlib.Path) -> List[TroubleTicket]:
+    """``tickets.csv``; a missing file or a bad row is a
+    :class:`TraceError` naming the file (and the row's line)."""
+    tickets: List[TroubleTicket] = []
+    try:
+        with open(path) as handle:
+            reader = csv.DictReader(handle)
+            for row in reader:
+                kwargs = {}
+                if row["root_cause"] == RootCause.DUPLICATE.value:
+                    # originals are not tracked in the csv; synthesize one
+                    kwargs["original_ticket_id"] = -1
+                tickets.append(
+                    TroubleTicket(
+                        vpe=row["vpe"],
+                        root_cause=RootCause(row["root_cause"]),
+                        report_time=float(row["report_time"]),
+                        repair_time=float(row["repair_time"]),
+                        **kwargs,
+                    )
+                )
+    except OSError as error:
+        raise TraceError(f"{path}: cannot read ({error.strerror})") from None
+    except KeyError as error:
+        raise TraceError(
+            f"{path}:{reader.line_num}: row has no {error.args[0]!r} field"
+        ) from None
+    except (TypeError, ValueError, csv.Error) as error:
+        raise TraceError(
+            f"{path}:{reader.line_num}: bad ticket ({error})"
+        ) from None
+    return tickets
 
 
 def _serve_feed(
@@ -156,8 +178,10 @@ def _serve_feed(
 ) -> MessageBatch:
     """A serving shard's feed, loaded like every other command's trace
     through :func:`read_trace` (the layer ``benchmarks/e2e`` times as
-    ``cli.read_trace``)."""
-    _, messages, _ = read_trace(pathlib.Path(trace_dir), owns)
+    ``cli.read_trace``), without tickets."""
+    _, messages, _ = read_trace(
+        pathlib.Path(trace_dir), owns, with_tickets=False
+    )
     return merge_streams(messages)
 
 
@@ -331,7 +355,7 @@ def _load_detector(model_dir: pathlib.Path) -> LSTMAnomalyDetector:
 def cmd_detect(args: argparse.Namespace) -> int:
     """Score a trace; write above-threshold anomalies as CSV."""
     trace_dir = pathlib.Path(args.trace)
-    meta, messages, _ = read_trace(trace_dir)
+    meta, messages, _ = read_trace(trace_dir, with_tickets=False)
     detector = _load_detector(pathlib.Path(args.model))
     scored = {
         vpe: detector.score(

@@ -91,5 +91,6 @@ def store_from_json(document: Union[str, bytes]) -> TemplateStore:
         leaf = tree._leaf_for(template.process, template.signature)
         leaf.signatures.append(template.signature)
         leaf.supports.append(template.support)
+    store._rebuild_dispatch()
     store._fitted = True
     return store

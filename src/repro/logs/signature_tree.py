@@ -11,7 +11,7 @@ the LSTM models the sequence of template ids.
 This implementation builds a three-level tree:
 
 1. level 1 — token count of the message body;
-2. level 2 — the reporting process concatenated with the first token
+2. level 2 — the reporting process and the first stable token
    (router logs almost always lead with a stable event keyword);
 3. leaves — a list of signatures.  A signature is a tuple of tokens
    where ``None`` marks a wildcard position.
@@ -24,9 +24,10 @@ signature when the token-agreement ratio clears ``merge_threshold``
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.logs.message import SyslogMessage
 
@@ -66,16 +67,39 @@ def is_variable_token(token: str) -> bool:
     return _VARIABLE_TOKEN.match(token) is not None
 
 
+def first_stable_token(tokens: Sequence[str]) -> str:
+    """The first token that is not variable by shape (``""`` if none):
+    the level-2 key's token for these tokens' presignature."""
+    variable = _VARIABLE_TOKEN.match
+    for token in tokens:
+        if not variable(token):
+            return token
+    return ""
+
+
 Signature = Tuple[Optional[str], ...]
+
+#: A leaf's key below its token count: the process and the first
+#: stable token (``""`` when every token is variable).
+LeafKey = Tuple[str, str]
+
+#: One signature compiled for matching a token list: an
+#: ``operator.itemgetter`` over its stable positions, what the getter
+#: must return for a match, and the signature's template id.
+Candidate = Tuple[Callable[[Sequence[str]], object], object, int]
+
+#: A leaf compiled for matching: its candidates in leaf order, and the
+#: id a token list gets when none of them matches.
+CompiledLeaf = Tuple[Tuple[Candidate, ...], int]
 
 
 #: Stable token -> the first string seen with its text.  Stable tokens
-#: dominate the stream and repeat endlessly, so one dict hit classifies
-#: most tokens, and every presignature (and every match-memo key) holds
-#: one shared string per token.  Variable tokens (numbers, addresses)
-#: are not kept: most occur once, so the one regex runs at each
-#: occurrence instead, and the cache stays the size of the stable
-#: vocabulary.  Cleared wholesale at capacity.
+#: dominate a mined corpus and repeat endlessly, so one dict hit
+#: classifies most tokens, and every presignature (so every mined
+#: signature) holds one shared string per token.  Variable tokens
+#: (numbers, addresses) are not kept: most occur once, so the one regex
+#: runs at each occurrence instead, and the cache stays the size of the
+#: stable vocabulary.  Cleared wholesale at capacity.
 _STABLE_TOKENS: Dict[str, str] = {}
 _STABLE_CAPACITY = 1 << 17
 
@@ -188,7 +212,7 @@ class SignatureTree:
                 f"merge_threshold must be in (0, 1], got {merge_threshold}"
             )
         self.merge_threshold = merge_threshold
-        self._tree: Dict[int, Dict[str, _Leaf]] = {}
+        self._tree: Dict[int, Dict[LeafKey, _Leaf]] = {}
         # Mining statistics, kept as plain ints so the hot insert loop
         # stays registry-free; TemplateStore publishes the deltas into
         # the process telemetry registry after each fit/extend.
@@ -198,12 +222,12 @@ class SignatureTree:
         self.n_new = 0
 
     @staticmethod
-    def _key(process: str, presig: Signature) -> str:
+    def _key(process: str, presig: Signature) -> LeafKey:
         """The level-2 key: the process and the first stable token."""
         first = next(
             (entry for entry in presig if entry is not WILDCARD), ""
         )
-        return f"{process}\x00{first}"
+        return process, first
 
     def _leaf_for(self, process: str, presig: Signature) -> _Leaf:
         """The leaf a presignature (or signature) belongs in, created
@@ -232,7 +256,11 @@ class SignatureTree:
     def lookup_presig(
         self, process: str, presig: Signature
     ) -> Optional[Signature]:
-        """The signature matching a presignature; the tree is unchanged."""
+        """The signature matching a presignature; the tree is unchanged.
+
+        The reference walk that :meth:`dispatch_map`'s matching is
+        tested against.
+        """
         leaf = self._tree.get(len(presig), {}).get(self._key(process, presig))
         if leaf is None:
             return None
@@ -249,8 +277,7 @@ class SignatureTree:
         """
         out: List[Tuple[str, Signature, int]] = []
         for level1 in self._tree.values():
-            for key, leaf in level1.items():
-                process = key.split("\x00", 1)[0]
+            for (process, _), leaf in level1.items():
                 out.extend(
                     (process, signature, support)
                     for signature, support in zip(
@@ -258,6 +285,56 @@ class SignatureTree:
                     )
                 )
         return out
+
+    def dispatch_map(
+        self, ids: Mapping[Tuple[str, Signature], int], unknown: int
+    ) -> Dict[Tuple[str, int, str], CompiledLeaf]:
+        """Every leaf compiled for matching, under its own key
+        ``(process, token count, first stable token)``.
+
+        Each signature becomes a :data:`Candidate` with its id in
+        ``ids`` (``unknown`` when absent), in leaf order, so the first
+        match still wins.  The first signature with no stable position
+        matches every token list of its leaf: it ends the candidates
+        and its id is the leaf's fallback, which is ``unknown`` when no
+        such signature exists.
+
+        A mined signature's stable tokens come from presignatures, so
+        none is variable by shape, and comparing one with a raw token
+        equals comparing it with the presignature's entry there.  A
+        signature that does hold a variable-shaped stable token (only a
+        hand-written store can) matches no presignature, so it is left
+        out; a leaf keyed by such a token holds only such signatures.
+        """
+        compiled: Dict[Tuple[str, int, str], CompiledLeaf] = {}
+        for count, level1 in self._tree.items():
+            for (process, first), leaf in level1.items():
+                candidates: List[Candidate] = []
+                fallback = unknown
+                for signature in leaf.signatures:
+                    positions = [
+                        index
+                        for index, token in enumerate(signature)
+                        if token is not WILDCARD
+                    ]
+                    if any(
+                        is_variable_token(signature[index])
+                        for index in positions
+                    ):
+                        continue
+                    template_id = ids.get((process, signature), unknown)
+                    if not positions:
+                        fallback = template_id
+                        break
+                    getter = operator.itemgetter(*positions)
+                    candidates.append(
+                        (getter, getter(signature), template_id)
+                    )
+                compiled[(process, count, first)] = (
+                    tuple(candidates),
+                    fallback,
+                )
+        return compiled
 
     @property
     def n_signatures(self) -> int:

@@ -17,15 +17,18 @@ import numpy as np
 from repro import telemetry
 from repro.logs.message import MessageBatch, SyslogMessage
 from repro.logs.signature_tree import (
+    CompiledLeaf,
     Signature,
     SignatureTree,
-    _presignature,
+    first_stable_token,
     render_signature,
-    tokenize,
 )
 
 #: Template id reserved for messages that match no known signature.
 UNKNOWN_TEMPLATE_ID = 0
+
+#: What a message whose leaf was never mined matches against.
+_UNKNOWN_LEAF: CompiledLeaf = ((), UNKNOWN_TEMPLATE_ID)
 
 
 @dataclass(frozen=True)
@@ -64,33 +67,20 @@ class TemplateStore:
     new message types introduced by software updates.
     """
 
-    #: Default capacity of the match memo.
-    MEMO_CAPACITY = 100_000
-
-    def __init__(
-        self,
-        merge_threshold: float = 0.7,
-        memo_capacity: int = MEMO_CAPACITY,
-    ) -> None:
-        if memo_capacity < 0:
-            raise ValueError(
-                f"memo_capacity must be >= 0, got {memo_capacity}"
-            )
+    def __init__(self, merge_threshold: float = 0.7) -> None:
         self._tree = SignatureTree(merge_threshold=merge_threshold)
         self._templates: List[Template] = []
         self._index: Dict[Tuple[str, Signature], int] = {}
         self._fitted = False
-        # Match memo keyed by (process, presignature).  Raw texts differ
-        # in their variable tokens, but the presignature collapses those
-        # to wildcards, so its keys track the (small) template
-        # vocabulary rather than the message stream.  Cleared whenever
-        # mining mutates the tree (fit/extend), since merging may
-        # re-route old keys, and wholesale at ``memo_capacity`` (0: no
-        # memo).
-        self._memo_capacity = memo_capacity
-        self._memo: Dict[Tuple[str, Signature], int] = {}
-        self._memo_hits = 0
-        self._memo_misses = 0
+        # The dispatch map: the tree compiled for matching, one entry
+        # per leaf (``SignatureTree.dispatch_map``).  Derived state:
+        # rebuilt whenever mining or loading changes the tree, never
+        # pickled.
+        self._dispatch: Dict[Tuple[str, int, str], CompiledLeaf] = {}
+        # Messages matched, and those whose first token did not key
+        # their leaf (the leading-token scan ran).
+        self._matched = 0
+        self._scanned = 0
         # High-water marks of what has been published to the telemetry
         # registry, so batch-boundary publishing emits deltas only.
         self._published_hits = 0
@@ -98,6 +88,15 @@ class TemplateStore:
         self._published_inserted = 0
         self._published_new = 0
         self._published_merged = 0
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_dispatch"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._rebuild_dispatch()
 
     @property
     def fitted(self) -> bool:
@@ -177,7 +176,6 @@ class TemplateStore:
                     support=support,
                 )
             )
-        self._memo.clear()
         rebuilt.sort(key=lambda template: template.template_id)
         # Re-number densely so vocabulary size equals template count + 1.
         self._templates = [
@@ -193,60 +191,77 @@ class TemplateStore:
             (template.process, template.signature): template.template_id
             for template in self._templates
         }
+        self._rebuild_dispatch()
+
+    def _rebuild_dispatch(self) -> None:
+        """Recompile the dispatch map from the tree and the ids."""
+        self._dispatch = self._tree.dispatch_map(
+            self._index, UNKNOWN_TEMPLATE_ID
+        )
 
     def match(self, message: SyslogMessage) -> int:
-        """Map a message to its template id (0 when unknown).
+        """Map a message to its template id (0 when unknown)."""
+        return self._match((message.process,), (message.text,))[0]
 
-        Matching is memoized on ``(process, presignature)``, which hits
-        on every re-instantiation of a known template; the memo is
-        dropped whenever :meth:`fit`/:meth:`extend` mutate the tree.
+    def _match(
+        self, processes: Iterable[str], texts: Iterable[str]
+    ) -> List[int]:
+        """The template id of each ``(process, text)`` pair.
+
+        A message's leaf is keyed by its process, token count and first
+        stable token, and that token is almost always the first one, so
+        one probe with it finds the leaf; only when it misses are the
+        leading tokens classified, to find the first stable one (or to
+        answer unknown).  The leaf's candidates then compare their
+        stable positions with the tokens there, first match first.
         """
-        return self._match(message.process, message.text)
-
-    def _match(self, process: str, text: str) -> int:
         if not self._fitted:
             raise RuntimeError("TemplateStore.match called before fit")
-        key = (process, _presignature(tokenize(text)))
-        template_id = self._memo.get(key)
-        if template_id is not None:
-            self._memo_hits += 1
-            return template_id
-        self._memo_misses += 1
-        signature = self._tree.lookup_presig(*key)
-        template_id = (
-            UNKNOWN_TEMPLATE_ID
-            if signature is None
-            else self._index.get((process, signature), UNKNOWN_TEMPLATE_ID)
-        )
-        if self._memo_capacity:
-            if len(self._memo) >= self._memo_capacity:
-                self._memo.clear()
-            self._memo[key] = template_id
-        return template_id
+        leaves = self._dispatch.get
+        ids: List[int] = []
+        scanned = 0
+        for process, text in zip(processes, texts):
+            tokens = text.split()
+            count = len(tokens)
+            leaf = leaves((process, count, tokens[0] if tokens else ""))
+            if leaf is None:
+                scanned += 1
+                leaf = leaves(
+                    (process, count, first_stable_token(tokens)),
+                    _UNKNOWN_LEAF,
+                )
+            candidates, template_id = leaf
+            for getter, stable, candidate_id in candidates:
+                if getter(tokens) == stable:
+                    template_id = candidate_id
+                    break
+            ids.append(template_id)
+        self._matched += len(ids)
+        self._scanned += scanned
+        return ids
 
     @property
     def memo_stats(self) -> Tuple[int, int]:
-        """Lifetime ``(hits, misses)`` of the match memo."""
-        return self._memo_hits, self._memo_misses
+        """Lifetime ``(hits, misses)`` of matching's first probe: a hit
+        found the message's leaf by its first token."""
+        return self._matched - self._scanned, self._scanned
 
     # -- telemetry -------------------------------------------------------
 
     def _publish_match_stats(self) -> None:
-        """Push memo hit/miss deltas into the telemetry registry.
+        """Push first-probe hit/miss deltas into the telemetry registry.
 
         Called once per batch (``match_ids`` / ``transform``), never
         per message, so matching stays registry-free on the hot path.
         """
         registry = telemetry.default_registry()
-        hits, misses = self._memo_hits, self._memo_misses
-        delta_hits = hits - self._published_hits
-        delta_misses = misses - self._published_misses
-        if delta_hits:
-            registry.counter("match.memo_hits").inc(delta_hits)
-            self._published_hits = hits
-        if delta_misses:
-            registry.counter("match.memo_misses").inc(delta_misses)
-            self._published_misses = misses
+        hits, misses = self.memo_stats
+        registry.counter("match.memo_hits").inc(hits - self._published_hits)
+        registry.counter("match.memo_misses").inc(
+            misses - self._published_misses
+        )
+        self._published_hits = hits
+        self._published_misses = misses
         total = hits + misses
         if total:
             registry.gauge("match.memo_hit_rate").set(hits / total)
@@ -283,10 +298,8 @@ class TemplateStore:
         (converted once if it is not one).
         """
         batch = MessageBatch.of(messages)
-        ids = np.fromiter(
-            map(self._match, batch.processes, batch.texts),
-            dtype=np.int64,
-            count=len(batch),
+        ids = np.array(
+            self._match(batch.processes, batch.texts), dtype=np.int64
         )
         self._publish_match_stats()
         return ids
@@ -295,9 +308,13 @@ class TemplateStore:
         self, messages: Sequence[SyslogMessage]
     ) -> List[SyslogMessage]:
         """Return copies of ``messages`` annotated with template ids."""
+        ids = self._match(
+            [message.process for message in messages],
+            [message.text for message in messages],
+        )
         annotated = [
-            message.with_template(self.match(message))
-            for message in messages
+            message.with_template(template_id)
+            for message, template_id in zip(messages, ids)
         ]
         self._publish_match_stats()
         return annotated

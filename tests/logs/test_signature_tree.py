@@ -93,8 +93,9 @@ class TestVariableTokens:
         )
 
     def test_cache_keeps_only_the_stable_vocabulary(self, monkeypatch):
-        """Distinct numbers and addresses go through the regex each
-        time; the cache ends at the stable tokens alone."""
+        """Mining caches no number or address, and matching (which
+        classifies tokens only after a dispatch miss) adds nothing: the
+        cache ends at the stable tokens alone."""
         monkeypatch.setattr(signature_tree, "_STABLE_TOKENS", {})
         messages = [
             make_message(

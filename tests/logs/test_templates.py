@@ -1,9 +1,45 @@
 """Tests for repro.logs.templates."""
 
-import pytest
+import copy
+import json
+import pickle
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.logs.persistence import store_from_json, store_to_json
+from repro.logs.signature_tree import _presignature, tokenize
 from repro.logs.templates import UNKNOWN_TEMPLATE_ID, TemplateStore
 from tests.conftest import make_message
+
+#: The serialized form of a wildcard (``repro.logs.persistence``).
+WILD = "\x00wildcard\x00"
+
+
+def presignature_walk(store, message):
+    """The id the signature tree gives ``message`` through its
+    presignature: the match path the dispatch map replaced."""
+    signature = store._tree.lookup_presig(
+        message.process, _presignature(tokenize(message.text))
+    )
+    if signature is None:
+        return UNKNOWN_TEMPLATE_ID
+    return store._index.get(
+        (message.process, signature), UNKNOWN_TEMPLATE_ID
+    )
+
+
+def hand_written(*signatures, process="rpd"):
+    """A store loaded from JSON whose templates are ``signatures``, in
+    id order, each a token list with :data:`WILD` wildcards."""
+    return store_from_json(json.dumps({
+        "version": 1,
+        "merge_threshold": 0.7,
+        "templates": [
+            {"id": i, "process": process, "support": 1, "signature": list(s)}
+            for i, s in enumerate(signatures, start=1)
+        ],
+    }))
 
 
 def corpus():
@@ -87,60 +123,57 @@ class TestExtend:
 
 
 class TestMemo:
+    """The dispatch map, which replaced the match memo, against the
+    presignature walk it replaced (the class keeps its name so the
+    test ids carry over)."""
+
     def test_memoized_match_agrees_with_uncached(self):
-        cached = TemplateStore().fit(corpus())
-        uncached = TemplateStore(memo_capacity=0).fit(corpus())
+        store = TemplateStore().fit(corpus())
         stream = corpus() * 3 + [
             make_message(
                 text="BGP_KEEPALIVE: keepalive received from peer 10.9.9.9"
             )
         ]
-        assert [cached.match(m) for m in stream] == [
-            uncached.match(m) for m in stream
+        assert [store.match(m) for m in stream] == [
+            presignature_walk(store, m) for m in stream
         ]
-        hits, misses = cached.memo_stats
-        assert hits > 0
+        hits, misses = store.memo_stats
+        assert (hits, misses) == (len(stream), 0)
 
     def test_verbatim_rematch_after_extend(self):
         store = TemplateStore().fit(corpus())
         novel = make_message(text="NEW_EVENT: counter 1 rolled over")
-        # Warm the memo with the unknown verdict.
         assert store.match(novel) == UNKNOWN_TEMPLATE_ID
         assert store.match(novel) == UNKNOWN_TEMPLATE_ID
         store.extend([novel])
-        # The verbatim text must not replay the stale cached 0.
+        # extend rebuilds the map, so the text now finds its template.
         assert store.match(novel) >= 1
 
     def test_presig_memo_dropped_by_extend(self):
         store = TemplateStore().fit(corpus())
-        # Warm the (process, presignature) memo: two variants of the
-        # same shape share a presignature but not an exact text.
         assert store.match(
             make_message(text="NEW_EVENT: counter 1 rolled over")
         ) == UNKNOWN_TEMPLATE_ID
         store.extend(
             [make_message(text="NEW_EVENT: counter 2 rolled over")]
         )
-        # A third variant would hit a stale presignature entry if
-        # extend did not clear it.
+        # Another variant of the mined shape matches through the
+        # rebuilt map.
         assert store.match(
             make_message(text="NEW_EVENT: counter 3 rolled over")
         ) >= 1
 
     def test_cached_transform_equals_uncached_across_extend(self):
-        cached = TemplateStore().fit(corpus())
-        uncached = TemplateStore(memo_capacity=0).fit(corpus())
+        store = TemplateStore().fit(corpus())
         novel = [
             make_message(text="LINK_FLAP: interface ge-0/0/3 down 10 ms"),
             make_message(text="LINK_FLAP: interface ge-0/0/7 down 25 ms"),
         ]
         stream = corpus() + novel + corpus()
-        for store in (cached, uncached):
-            store.transform(stream)  # warm (no-op for uncached)
-            store.extend(novel)
-        want = [m.template_id for m in uncached.transform(stream)]
-        got = [m.template_id for m in cached.transform(stream)]
-        assert got == want
+        store.transform(stream)
+        store.extend(novel)
+        got = [m.template_id for m in store.transform(stream)]
+        assert got == [presignature_walk(store, m) for m in stream]
         assert all(tid >= 1 for tid in got)
 
     def test_match_ids_matches_scalar_match(self):
@@ -172,3 +205,155 @@ class TestTransformAndLookup:
         store = TemplateStore().fit(corpus())
         with pytest.raises(KeyError):
             store.template(999)
+
+
+#: Fuzz vocabulary: stable words, every variable shape, and tokens that
+#: look variable but are stable by shape.
+STABLE_WORDS = ("LINK:", "BGP:", "up", "down", "peer", "on", "to", "x")
+VARIABLE_TOKENS = (
+    "12", "7", "10.0.0.1", "10.0.0.1:179", "0xbeef", "ge-0/0/1",
+    "xe-1/2/3.100", "15ms", "2.5s", "99%",
+)
+STABLE_BY_SHAPE = ("1299)", "vm14", "(12", "ge-", "0x", "12x", "%")
+PROCESSES = ("rpd", "mib2d", "sshd")
+
+ALL_TOKENS = STABLE_WORDS + VARIABLE_TOKENS + STABLE_BY_SHAPE
+
+
+@st.composite
+def corpora(draw, max_size=40):
+    """Messages drawn as edits of a few base texts, so that leaves fill
+    up, merge and hold overlapping signatures as a real log's do."""
+    bases = draw(st.lists(
+        st.tuples(
+            st.sampled_from(PROCESSES),
+            st.lists(st.sampled_from(STABLE_WORDS + STABLE_BY_SHAPE),
+                     max_size=6),
+        ),
+        min_size=1,
+        max_size=4,
+    ))
+    messages = []
+    for _ in range(draw(st.integers(1, max_size))):
+        process, tokens = draw(st.sampled_from(bases))
+        tokens = list(tokens)
+        edits = draw(st.lists(
+            st.tuples(st.integers(0, 5), st.sampled_from(ALL_TOKENS)),
+            max_size=3,
+        ))
+        for index, token in edits:
+            if index < len(tokens):
+                tokens[index] = token
+        messages.append(make_message(process=process, text=" ".join(tokens)))
+    return messages
+
+
+def _probes(message):
+    """Probes around a training message: an empty text, a variable
+    first token, an unknown process, an unseen first token and another
+    token count."""
+    text, process = message.text, message.process
+    return [
+        make_message(process=process, text=""),
+        make_message(process=process, text=f"12 {text}"),
+        make_message(process=process, text=f"10.0.0.9 {text}"),
+        make_message(process="unknownd", text=text),
+        make_message(process=process, text=f"UNSEEN {text}"),
+        make_message(process=process, text=f"{text} down"),
+        make_message(process=process, text=" ".join(text.split()[:-1])),
+    ]
+
+
+class TestDispatchMap:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        corpora(),
+        st.lists(
+            st.builds(
+                lambda process, tokens: make_message(
+                    process=process, text=" ".join(tokens)
+                ),
+                st.sampled_from(PROCESSES),
+                st.lists(st.sampled_from(ALL_TOKENS), max_size=6),
+            ),
+            max_size=10,
+        ),
+        st.floats(0.3, 1.0),
+        st.booleans(),
+    )
+    def test_match_equals_presignature_walk(
+        self, training, unseen, threshold, round_trip
+    ):
+        store = TemplateStore(merge_threshold=threshold).fit(training)
+        if round_trip:
+            store = store_from_json(store_to_json(store))
+        probes = list(training) + list(unseen)
+        for message in training[:5]:
+            probes += _probes(message)
+        want = [presignature_walk(store, m) for m in probes]
+        assert [store.match(m) for m in probes] == want
+        assert store.match_ids(probes).tolist() == want
+        hits, misses = store.memo_stats
+        assert hits + misses == 2 * len(probes)
+
+    @pytest.mark.parametrize(
+        "first, second, second_only",
+        [
+            (("X", "a", WILD), ("X", WILD, "b"), "X z b"),
+            (("X", WILD, "b"), ("X", "a", WILD), "X a z"),
+        ],
+    )
+    def test_first_matching_signature_of_a_leaf_wins(
+        self, first, second, second_only
+    ):
+        store = hand_written(first, second)
+        both = make_message(text="X a b")
+        assert store.match(both) == presignature_walk(store, both) == 1
+        assert store.match(make_message(text=second_only)) == 2
+
+    def test_variable_shaped_stable_token_never_matches(self):
+        store = hand_written(("LINK:", "42"), ("42", "up"), ("LINK:", WILD))
+        for text, want in (("LINK: 42", 3), ("42 up", 0), ("LINK: 7", 3)):
+            message = make_message(text=text)
+            assert store.match(message) == want
+            assert presignature_walk(store, message) == want
+
+    def test_signature_without_stable_position_matches_its_leaf(self):
+        # "12 foo" joins "foo x"'s leaf (first stable token "foo") and
+        # the merge wildcards both positions.
+        store = TemplateStore(merge_threshold=0.5).fit([
+            make_message(text="foo x"),
+            make_message(text="12 foo"),
+        ])
+        assert store.vocabulary_size == 2
+        for text in ("foo bar", "foo x", "7 foo"):
+            message = make_message(text=text)
+            assert store.match(message) == presignature_walk(store, message)
+            assert store.match(message) == 1
+        assert store.match(make_message(text="bar foo")) == 0
+
+    def test_variable_first_token_finds_its_leaf(self):
+        store = TemplateStore().fit([make_message(text="12 BGP: peer down")])
+        assert store.match(make_message(text="13 BGP: peer down")) == 1
+        assert store.memo_stats == (0, 1)
+        # The first probe finds the leaf; no candidate matches.
+        assert store.match(make_message(text="BGP: peer down now")) == 0
+        assert store.memo_stats == (1, 1)
+        # No leaf: the scan finds "BGP:" first, and no leaf has it.
+        assert store.match(make_message(text="BGP: peer down")) == 0
+        assert store.memo_stats == (1, 2)
+
+    def test_empty_text_matches_its_own_leaf(self):
+        store = TemplateStore().fit([make_message(text="")])
+        assert store.match(make_message(text="")) == 1
+        assert store.match(make_message(text="   ")) == 1
+        assert store.match(make_message(process="sshd", text="")) == 0
+
+    def test_map_is_left_out_of_pickles_and_copies(self):
+        store = TemplateStore().fit(corpus())
+        assert "_dispatch" not in store.__getstate__()
+        stream = corpus() + [make_message(text="NEW_EVENT: never seen")]
+        want = [store.match(m) for m in stream]
+        for twin in (pickle.loads(pickle.dumps(store)), copy.deepcopy(store)):
+            assert twin._dispatch.keys() == store._dispatch.keys()
+            assert [twin.match(m) for m in stream] == want

@@ -182,6 +182,84 @@ class TestOfflineTraceErrors:
         ]
 
 
+class TestTickets:
+    """``serve`` and ``detect`` read no ``tickets.csv``: a collector's
+    directory holds none.  ``mine``, ``train`` and ``report`` need it,
+    and refuse a missing or malformed one in one line, with exit 2."""
+
+    @staticmethod
+    def copy_trace(workflow, tmp_path):
+        trace = tmp_path / "trace"
+        shutil.copytree(workflow["trace"], trace)
+        return trace
+
+    def test_serve_needs_no_tickets(self, workflow, tmp_path):
+        bare = self.copy_trace(workflow, tmp_path)
+        (bare / "tickets.csv").unlink()
+        scores = {}
+        for name, trace in (("with", workflow["trace"]), ("bare", bare)):
+            out = tmp_path / f"scores-{name}.csv"
+            assert main([
+                "serve", "--data-dir", str(tmp_path / f"svc-{name}"),
+                "--trace", str(trace), "--model", str(workflow["model"]),
+                "--threshold", "4.0", "--tick-size", "64",
+                "--max-ticks", "20", "--scores-out", str(out),
+            ]) == 0
+            scores[name] = out.read_bytes()
+        assert scores["bare"] == scores["with"]
+        assert scores["bare"].count(b"\n") == 20 * 64
+
+    def test_detect_needs_no_tickets(self, workflow, tmp_path):
+        trace = self.copy_trace(workflow, tmp_path)
+        (trace / "tickets.csv").unlink()
+        out = tmp_path / "anomalies.csv"
+        assert main([
+            "detect", "--trace", str(trace),
+            "--model", str(workflow["model"]), "--out", str(out),
+        ]) == 0
+        assert out.read_bytes() == workflow["anomalies"].read_bytes()
+
+    @pytest.mark.parametrize("command", ["mine", "train", "report"])
+    @pytest.mark.parametrize(
+        "defect, reason",
+        [
+            ("missing", "tickets.csv: cannot read (No such file or directory)"),
+            (
+                "not_a_cause",
+                "tickets.csv:3: bad ticket ('not_a_cause' is not a valid "
+                "RootCause)",
+            ),
+            ("no_field", "tickets.csv:2: row has no 'repair_time' field"),
+        ],
+    )
+    def test_bad_tickets_refused_in_one_line(
+        self, workflow, tmp_path, capfd, command, defect, reason
+    ):
+        trace = self.copy_trace(workflow, tmp_path)
+        path = trace / "tickets.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        if defect == "missing":
+            path.unlink()
+        elif defect == "not_a_cause":
+            vpe, _, rest = lines[2].split(",", 2)
+            lines[2] = f"{vpe},not_a_cause,{rest}"
+            path.write_text("".join(lines))
+        else:
+            lines[0] = lines[0].replace("repair_time", "repaired")
+            path.write_text("".join(lines))
+        args = {
+            "mine": ["--out", str(tmp_path / "templates.json")],
+            "train": [
+                "--templates", str(workflow["templates"]),
+                "--out", str(tmp_path / "model"),
+            ],
+            "report": ["--anomalies", str(workflow["anomalies"])],
+        }[command]
+        capfd.readouterr()
+        assert main([command, "--trace", str(trace), *args]) == 2
+        assert capfd.readouterr().err.splitlines() == [f"{trace}/{reason}"]
+
+
 class TestTelemetrySubcommand:
     @pytest.fixture(scope="class")
     def snapshot_path(self, tmp_path_factory):
@@ -360,7 +438,8 @@ class TestServe:
         self, workflow, tmp_path
     ):
         """The drift watcher reads the scorer's template ids: with no
-        fine-tune, one memo lookup per served message."""
+        fine-tune, one match (a first-probe hit or miss) per served
+        message."""
         out = tmp_path / "telemetry.json"
         assert self.serve(
             workflow, tmp_path / "svc", "--max-ticks", "12",
