@@ -97,9 +97,7 @@ def _time_monitor_drain(
     """Best-of wall time for the WAL-off side (bare monitor)."""
     best = float("inf")
     for _ in range(repeats):
-        monitor = OnlineMonitor(
-            detector, threshold=float("inf"), strict_order=False
-        )
+        monitor = OnlineMonitor(detector, threshold=float("inf"))
         monitor.observe_batch(warm)
         start = time.perf_counter()
         for tick in ticks:
@@ -126,9 +124,7 @@ def _time_journaled_drain(
     for _ in range(repeats):
         data_dir = tempfile.mkdtemp(prefix="bench-runtime-")
         try:
-            monitor = OnlineMonitor(
-                detector, threshold=float("inf"), strict_order=False
-            )
+            monitor = OnlineMonitor(detector, threshold=float("inf"))
             monitor.observe_batch(warm)
             encoder = TickEncoder()
             with WriteAheadLog(data_dir) as wal:
@@ -182,9 +178,7 @@ def bench_checkpoint(
     stream = streaming.fleet_stream(
         scale.devices, warmup + 4 * scale.tick_size
     )
-    monitor = OnlineMonitor(
-        detector, threshold=float("inf"), strict_order=False
-    )
+    monitor = OnlineMonitor(detector, threshold=float("inf"))
     monitor.run(stream, tick_size=scale.tick_size)
     data_dir = tempfile.mkdtemp(prefix="bench-checkpoint-")
     write_s = read_s = float("inf")
@@ -195,9 +189,7 @@ def bench_checkpoint(
             start = time.perf_counter()
             size = write_checkpoint(path, monitor, cursor=1)
             write_s = min(write_s, time.perf_counter() - start)
-        restored = OnlineMonitor(
-            detector, threshold=float("inf"), strict_order=False
-        )
+        restored = OnlineMonitor(detector, threshold=float("inf"))
         for _ in range(scale.checkpoint_repeats):
             start = time.perf_counter()
             read_checkpoint(path).restore(restored)

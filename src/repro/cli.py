@@ -29,6 +29,7 @@ import csv
 import json
 import pathlib
 import sys
+import zipfile
 from dataclasses import replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -333,21 +334,31 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _load_detector(model_dir: pathlib.Path) -> LSTMAnomalyDetector:
+    """The ``train`` output in ``model_dir``; a model that cannot be
+    read or loaded is an :class:`InputError` naming the file."""
+    path = model_dir / "config.json"
     try:
-        config = json.loads((model_dir / "config.json").read_text())
-        store = store_from_json(
-            pathlib.Path(config["templates"]).read_text()
-        )
+        config = json.loads(path.read_text())
+        capacity, window = config["capacity"], config["window"]
+        hidden = config["hidden"]
+        path = pathlib.Path(config["templates"])
+        store = store_from_json(path.read_text())
         detector = LSTMAnomalyDetector(
             store,
-            vocabulary_capacity=config["capacity"],
-            window=config["window"],
-            hidden=(config["hidden"], config["hidden"]),
+            vocabulary_capacity=capacity,
+            window=window,
+            hidden=(hidden, hidden),
         )
-        detector.restore_weights(str(model_dir / "weights.npz"))
+        path = model_dir / "weights.npz"
+        detector.restore_weights(str(path))
     except OSError as error:
         raise InputError(
             f"{error.filename}: cannot read the model ({error.strerror})"
+        ) from None
+    except (ValueError, KeyError, zipfile.BadZipFile) as error:
+        raise InputError(
+            f"{path}: cannot load the model "
+            f"({type(error).__name__}: {error})"
         ) from None
     return detector
 
@@ -754,9 +765,7 @@ def _telemetry_smoke(args: argparse.Namespace) -> None:
 
     month2 = dataset.aggregate_messages(start=split)
     month2.sort(key=lambda m: m.timestamp)
-    monitor = OnlineMonitor(
-        detector, threshold=threshold, strict_order=False
-    )
+    monitor = OnlineMonitor(detector, threshold=threshold)
     monitor.run(month2, tick_size=512)
 
     week = [m for m in month2 if m.timestamp < split + WEEK]

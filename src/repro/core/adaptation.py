@@ -50,21 +50,6 @@ def transfer_adapt(
     )
 
 
-def full_retrain(
-    teacher: LSTMAnomalyDetector,
-    new_messages: Sequence[SyslogMessage],
-) -> LSTMAnomalyDetector:
-    """The naive alternative: retrain every layer on the new data.
-
-    Used by the ablation benchmarks to show why fine-tuning the top
-    layers with little data beats full retraining with the same data.
-    """
-    teacher.store.extend(list(new_messages))
-    student = teacher.clone()
-    student.fit(list(new_messages))
-    return student
-
-
 def distribution_shift(
     previous_month: Sequence[SyslogMessage],
     current_month: Sequence[SyslogMessage],

@@ -16,7 +16,7 @@ improving.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import BinaryIO, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -414,15 +414,10 @@ class LSTMAnomalyDetector(AnomalyDetector):
 
     # -- persistence ---------------------------------------------------------
 
-    def save_weights(self, path: str) -> None:
-        """Persist the model weights (``.npz``); pair with a
-        serialized template store for full persistence."""
-        self.model.save(path)
-
-    def restore_weights(self, path: str) -> None:
-        """Load weights saved by :meth:`save_weights` and mark the
-        detector ready for scoring."""
-        self.model.load(path)
+    def restore_weights(self, source: Union[str, BinaryIO]) -> None:
+        """Load weights saved by ``model.save`` (a path or a binary
+        file object) and mark the detector ready for scoring."""
+        self.model.load(source)
         self._fitted = True
 
     # -- cloning (used by transfer adaptation) ---------------------------

@@ -3,9 +3,8 @@
 The paper envisions "a runtime predictive analysis system running in
 parallel with existing reactive monitoring systems to provide network
 operators timely warnings" (abstract).  :class:`OnlineMonitor` is that
-runtime: it consumes syslog messages — one at a time via
-:meth:`~OnlineMonitor.observe` or in cross-device micro-batches via
-:meth:`~OnlineMonitor.observe_batch` — scores each arrival under the
+runtime: it consumes syslog messages in cross-device micro-batches
+(:meth:`~OnlineMonitor.observe_batch`), scores each arrival under the
 trained LSTM, and emits a :class:`WarningSignature` when a cluster of
 anomalies forms, with a cooldown so one incident raises one warning.
 
@@ -86,14 +85,6 @@ class OnlineMonitor:
             cluster.
         cooldown: after a warning fires on a device, further warnings
             are suppressed for this long (one incident, one page).
-        strict_order: when True (default), a message older than its
-            device's newest accepted timestamp raises ``ValueError``;
-            when False it is dropped and counted in
-            :attr:`n_reordered` so one misordered message cannot kill
-            a long-running monitor.
-        tick_size: messages per micro-batch when :meth:`run` drains a
-            stream; larger ticks amortize the fused forward over more
-            devices per round.
         quantized: score through the int8-quantized inference path
             (:mod:`repro.nn.quant`) instead of the bitwise-exact f64
             model; lossy but faster, opt-in.
@@ -106,25 +97,18 @@ class OnlineMonitor:
         cluster_min_size: int = 2,
         cluster_max_gap: float = 5 * MINUTE,
         cooldown: float = 30 * MINUTE,
-        strict_order: bool = True,
-        tick_size: int = 1024,
         quantized: bool = False,
     ) -> None:
         if cluster_min_size < 1:
             raise ValueError("cluster_min_size must be >= 1")
         if cluster_max_gap <= 0 or cooldown < 0:
             raise ValueError("invalid gap/cooldown")
-        if tick_size < 1:
-            raise ValueError("tick_size must be >= 1")
         self.detector = detector
         self.threshold = threshold
         self.cluster_min_size = cluster_min_size
         self.cluster_max_gap = cluster_max_gap
         self.cooldown = cooldown
-        self.tick_size = tick_size
-        self.scorer = StreamScorer(
-            detector, strict_order=strict_order, quantized=quantized
-        )
+        self.scorer = StreamScorer(detector, quantized=quantized)
         self._devices: Dict[str, _DeviceState] = {}
         self.n_observed = 0
         self.n_anomalies = 0
@@ -134,13 +118,9 @@ class OnlineMonitor:
         self.last_batch: Optional[StreamBatch] = None
 
     @property
-    def strict_order(self) -> bool:
-        """Whether out-of-order arrivals raise instead of being dropped."""
-        return self.scorer.strict_order
-
-    @property
     def n_reordered(self) -> int:
-        """Out-of-order arrivals dropped (``strict_order=False``)."""
+        """Out-of-order arrivals dropped (a message older than its
+        device's newest accepted timestamp)."""
         return self.scorer.n_reordered
 
     # -- checkpointable state -------------------------------------------
@@ -189,17 +169,6 @@ class OnlineMonitor:
             for host, (times, peak, cooldown) in state["devices"].items()
         }
 
-    def observe(
-        self, message: SyslogMessage
-    ) -> Optional[WarningSignature]:
-        """Ingest one message; return a warning if one fires.
-
-        Messages must arrive in per-device timestamp order (unless
-        ``strict_order=False``, in which case a late message is
-        silently dropped and counted).
-        """
-        return self.observe_batch([message])[0]
-
     def observe_batch(
         self, messages: Sequence[SyslogMessage]
     ) -> List[Optional[WarningSignature]]:
@@ -209,9 +178,9 @@ class OnlineMonitor:
         if it is not one).  Scoring runs micro-batched (one fused
         forward per round of the tick); warning clustering then visits
         the tick's anomalies in arrival order, so emitted warnings are
-        identical to observing each message individually.  In strict
-        mode an out-of-order arrival raises before any message of the
-        tick is ingested.
+        identical to observing each message individually.  An
+        out-of-order arrival is dropped and counted in
+        :attr:`n_reordered`.
         """
         messages = MessageBatch.of(messages)
         batch = self.scorer.observe_batch(messages)
@@ -274,20 +243,18 @@ class OnlineMonitor:
     def run(
         self,
         messages: Iterable[SyslogMessage],
-        tick_size: Optional[int] = None,
+        tick_size: int = 1024,
     ) -> List[WarningSignature]:
-        """Drain a whole (sorted) stream in fixed micro-batched ticks.
-
-        ``tick_size`` defaults to the constructor's.
-        """
+        """Drain a whole (sorted) stream in fixed micro-batched ticks;
+        larger ticks amortize the fused forward over more devices per
+        round."""
         messages = MessageBatch.of(messages)
         warnings: List[WarningSignature] = []
-        tick = self.tick_size if tick_size is None else tick_size
-        if tick < 1:
+        if tick_size < 1:
             raise ValueError("tick_size must be >= 1")
-        for start in range(0, len(messages), tick):
+        for start in range(0, len(messages), tick_size):
             for warning in self.observe_batch(
-                messages[start:start + tick]
+                messages[start:start + tick_size]
             ):
                 if warning is not None:
                     warnings.append(warning)

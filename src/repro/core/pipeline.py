@@ -21,7 +21,6 @@ Three variants reproduce Figure 7:
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -51,12 +50,7 @@ DetectorFactory = Callable[[TemplateStore, int], AnomalyDetector]
 
 
 class _DefaultLstmFactory:
-    """Picklable default detector factory.
-
-    A plain class (not a bound method or closure) so worker processes
-    can receive it without dragging the whole pipeline — dataset
-    included — through pickle.
-    """
+    """The paper's LSTM at the pipeline's vocabulary capacity."""
 
     def __init__(self, max_templates: int) -> None:
         self.max_templates = max_templates
@@ -69,35 +63,6 @@ class _DefaultLstmFactory:
             vocabulary_capacity=self.max_templates,
             seed=seed,
         )
-
-
-def _strip_caches(detector: AnomalyDetector) -> None:
-    """Drop forward-pass caches before pickling a trained detector."""
-    model = getattr(detector, "model", None)
-    if model is not None and hasattr(model, "clear_caches"):
-        model.clear_caches()
-
-
-def _fit_group(
-    factory: DetectorFactory,
-    store: TemplateStore,
-    seed: int,
-    streams: Sequence[Sequence],
-) -> AnomalyDetector:
-    """Worker entry: build and fit one group's detector."""
-    detector = factory(store, seed)
-    detector.fit_streams(streams)
-    _strip_caches(detector)
-    return detector
-
-
-def _update_group(
-    detector: AnomalyDetector, streams: Sequence[Sequence]
-) -> AnomalyDetector:
-    """Worker entry: one group's monthly incremental update."""
-    detector.update_streams(streams)
-    _strip_caches(detector)
-    return detector
 
 
 @dataclass(frozen=True)
@@ -121,13 +86,6 @@ class PipelineConfig:
         store_fit_messages: cap on messages used to fit the template
             store initially.
         max_templates: model vocabulary capacity.
-        workers: process-pool size for per-group training.  The K
-            per-group detectors are independent, so initial fits and
-            monthly updates parallelize across groups; ``workers=1``
-            (the default) is the serial fallback, bit-identical to the
-            historical behavior and what tests should use.  Each group
-            keeps its own seed either way, so results are
-            deterministic for a fixed ``workers`` setting.
         seed: base seed for grouping and detectors.
     """
 
@@ -142,7 +100,6 @@ class PipelineConfig:
     scrub_margin: float = 3 * DAY
     store_fit_messages: int = 30000
     max_templates: int = 256
-    workers: int = 1
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -152,10 +109,6 @@ class PipelineConfig:
             )
         if self.adaptation_days <= 0:
             raise ValueError("adaptation_days must be positive")
-        if self.workers < 1:
-            raise ValueError(
-                f"workers must be >= 1, got {self.workers}"
-            )
 
 
 @dataclass
@@ -337,34 +290,7 @@ class RollingPipeline:
             for vpe in grouping.members(group)
         ]
 
-    # -- parallel per-group training -----------------------------------
-
-    def _run_pool(self, jobs: Dict[int, Tuple]) -> Dict[int, AnomalyDetector]:
-        """Run ``{group: (fn, *args)}`` jobs in a process pool.
-
-        Workers return fully trained detectors (weights, optimizer and
-        rng state intact); the parent re-binds the shared template
-        store afterwards so later ``store.extend`` calls stay visible
-        to every detector.
-        """
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(self.config.workers, len(jobs))
-        ) as pool:
-            futures = {
-                group: pool.submit(job[0], *job[1:])
-                for group, job in jobs.items()
-            }
-            return {
-                group: future.result()
-                for group, future in futures.items()
-            }
-
-    def _rebind_store(
-        self, detectors: Dict[int, AnomalyDetector], store: TemplateStore
-    ) -> None:
-        for detector in detectors.values():
-            if hasattr(detector, "store"):
-                detector.store = store
+    # -- per-group training ---------------------------------------------
 
     def _fit_detectors(
         self,
@@ -372,46 +298,20 @@ class RollingPipeline:
         grouping: VpeGrouping,
         bounds: Tuple[float, float],
     ) -> Dict[int, AnomalyDetector]:
-        """Initial training of the K per-group detectors.
-
-        Groups are independent (own seed, own member streams), so with
-        ``workers > 1`` they train concurrently in a process pool.
-        """
-        config = self.config
-        seeds = {
-            group: config.seed + 17 * group for group in grouping.groups
-        }
-        streams = {
-            group: self._group_normal_streams(
-                grouping, group, bounds[0], bounds[1]
-            )
-            for group in grouping.groups
-        }
-        if config.workers > 1 and len(grouping.groups) > 1:
-            detectors = self._run_pool(
-                {
-                    group: (
-                        _fit_group,
-                        self.detector_factory,
-                        store,
-                        seeds[group],
-                        streams[group],
-                    )
-                    for group in grouping.groups
-                }
-            )
-            self._rebind_store(detectors, store)
-            telemetry.counter("train.groups_fitted").inc(
-                len(detectors)
-            )
-            return detectors
+        """Initial training of the K per-group detectors (own seed,
+        own member streams)."""
         detectors = {}
         registry = telemetry.default_registry()
         for group in grouping.groups:
-            detector = self.detector_factory(store, seeds[group])
+            detector = self.detector_factory(
+                store, self.config.seed + 17 * group
+            )
+            streams = self._group_normal_streams(
+                grouping, group, bounds[0], bounds[1]
+            )
             # Per-group loop: a whole-group fit is the batch boundary.
             with registry.timed("train.group_fit_seconds"):  # repro: noqa[RPR301]
-                detector.fit_streams(streams[group])
+                detector.fit_streams(streams)
             registry.counter("train.groups_fitted").inc()  # repro: noqa[RPR301]
             detectors[group] = detector
         return detectors
@@ -420,35 +320,17 @@ class RollingPipeline:
         self,
         detectors: Dict[int, AnomalyDetector],
         grouping: VpeGrouping,
-        store: TemplateStore,
         bounds: Tuple[float, float],
     ) -> None:
-        """End-of-month incremental update, parallel across groups."""
-        config = self.config
-        streams = {
-            group: self._group_normal_streams(
-                grouping, group, bounds[0], bounds[1]
-            )
-            for group in detectors
-        }
-        if config.workers > 1 and len(detectors) > 1:
-            updated = self._run_pool(
-                {
-                    group: (_update_group, detector, streams[group])
-                    for group, detector in detectors.items()
-                }
-            )
-            self._rebind_store(updated, store)
-            detectors.update(updated)
-            telemetry.counter("train.groups_updated").inc(
-                len(updated)
-            )
-            return
+        """End-of-month incremental update of every group."""
         registry = telemetry.default_registry()
         for group, detector in detectors.items():
+            streams = self._group_normal_streams(
+                grouping, group, bounds[0], bounds[1]
+            )
             # Per-group loop: a whole-group update is the batch boundary.
             with registry.timed("train.group_update_seconds"):  # repro: noqa[RPR301]
-                detector.update_streams(streams[group])
+                detector.update_streams(streams)
             registry.counter("train.groups_updated").inc()  # repro: noqa[RPR301]
 
     # -- main loop ----------------------------------------------------------
@@ -506,9 +388,7 @@ class RollingPipeline:
                     start=start, end=end, normal_only=True
                 )[: config.store_fit_messages]
             )
-            self._update_detectors(
-                detectors, grouping, store, (start, end)
-            )
+            self._update_detectors(detectors, grouping, (start, end))
         return PipelineResult(
             months=months, grouping=grouping, config=config
         )

@@ -29,10 +29,9 @@ automatically whenever the detector's weights version moves (hot
 swap, checkpoint restore).  Quantized scores are approximate — the
 contract is anomaly-decision agreement, not bitwise parity.
 
-Out-of-order arrivals either raise (``strict_order=True``, the
-historical behavior) or are counted in :attr:`n_reordered` and
-dropped (``strict_order=False``), so one misordered message cannot
-kill a long-running monitor.
+An arrival older than its device's newest accepted timestamp is
+dropped and counted in :attr:`n_reordered`, so one misordered message
+cannot kill a long-running monitor.
 """
 
 from __future__ import annotations
@@ -63,8 +62,7 @@ class StreamBatch:
     Attributes:
         scores: anomaly score per input message (NaN while a device's
             context is still warming up, and for dropped messages).
-        kept: False where an out-of-order arrival was dropped
-            (``strict_order=False`` only; always all-True otherwise).
+        kept: False where an out-of-order arrival was dropped.
         ids: template id per input message, clamped to the detector's
             vocabulary capacity (dropped messages included).
     """
@@ -79,10 +77,6 @@ class StreamScorer:
 
     Args:
         detector: a fitted :class:`LSTMAnomalyDetector`.
-        strict_order: when True (default) an arrival older than its
-            device's newest accepted timestamp raises ``ValueError``
-            (before any state in the tick is mutated); when False it
-            is dropped and counted in :attr:`n_reordered`.
         initial_devices: ring-buffer rows to preallocate; the table
             doubles automatically as new hosts appear.
         quantized: when True, score through the int8 engine
@@ -94,7 +88,6 @@ class StreamScorer:
     def __init__(
         self,
         detector: LSTMAnomalyDetector,
-        strict_order: bool = True,
         initial_devices: int = 16,
         quantized: bool = False,
     ) -> None:
@@ -102,7 +95,6 @@ class StreamScorer:
             raise ValueError("initial_devices must be >= 1")
         self.detector = detector
         self.window = int(detector.windower.window)
-        self.strict_order = bool(strict_order)
         self.quantized = bool(quantized)
         self._qmodel: "QuantizedModel | None" = None
         self._qmodel_version = -1
@@ -178,15 +170,6 @@ class StreamScorer:
             self._qmodel_version = version
         return self._qmodel
 
-    def context_of(self, host: str) -> np.ndarray:
-        """The device's current context, oldest first (for inspection)."""
-        row = self._index[host]
-        fill = int(self._fill[row])
-        if fill < self.window:
-            return self._contexts[row, :fill].copy()
-        gather = (self._pos[row] + np.arange(self.window)) % self.window
-        return self._contexts[row, gather]
-
     # -- checkpointable state -------------------------------------------
 
     def state_dict(self) -> Dict[str, object]:
@@ -217,7 +200,7 @@ class StreamScorer:
         The scorer must have been built against a detector with the
         same context window; the device table, ring buffers, ordering
         cursors and reorder count are replaced by the snapshot, while
-        constructor configuration (strictness, quantization) stays.
+        constructor configuration (quantization) stays.
         """
         version = state.get("version")
         if version != SCORER_STATE_VERSION:
@@ -266,8 +249,8 @@ class StreamScorer:
         ``messages`` is read as a :class:`MessageBatch` (converted once
         if it is not one).  Messages may interleave devices
         arbitrarily; per-device order within the tick is the sequence
-        order.  In strict mode an out-of-order arrival raises before
-        any state is touched (the whole tick is rejected).
+        order.  An out-of-order arrival is dropped (``kept`` False,
+        score NaN) and counted in :attr:`n_reordered`.
         """
         batch = MessageBatch.of(messages)
         n = len(batch)
@@ -307,10 +290,6 @@ class StreamScorer:
         )
         if in_order.all():
             keep_sorted = in_order
-        elif self.strict_order:
-            bad = int(np.flatnonzero(~in_order)[0])
-            host = self._hosts[int(run_rows[g_sorted[bad]])]
-            raise ValueError(f"out-of-order message for {host}")
         else:
             # Fallback for the violating runs only: an arrival is in
             # order iff it is >= every accepted timestamp before it,

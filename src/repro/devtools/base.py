@@ -79,12 +79,6 @@ def registered_codes() -> List[str]:
     return sorted(set(_REGISTRY) | set(_PROJECT_REGISTRY))
 
 
-def get_check(code: str) -> Type["Check"]:
-    """The per-file check class for ``code`` (KeyError if none)."""
-    _ensure_loaded()
-    return _REGISTRY[code]
-
-
 def _ensure_loaded() -> None:
     # Importing the checks package populates the registry; deferred to
     # first use so base <-> checks never import-cycle.

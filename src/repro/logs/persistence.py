@@ -22,24 +22,35 @@ _WILDCARD_MARKER = "\x00wildcard\x00"
 
 
 def store_to_json(store: TemplateStore) -> str:
-    """Serialize a fitted store (templates and ids) to JSON."""
+    """Serialize a fitted store (templates and ids) to JSON.
+
+    A template whose leaf is not the one its signature's key names (a
+    merge wildcarded the leaf's key token) records that leaf's token
+    as ``"leaf"``, so the rebuilt store matches like this one.
+    """
     if not store.fitted:
         raise ValueError("cannot serialize an unfitted TemplateStore")
+    tree = store._tree
+    leaves = tree.leaf_tokens()
+    entries = []
+    for template in store.templates():
+        entry = {
+            "id": template.template_id,
+            "process": template.process,
+            "support": template.support,
+            "signature": [
+                _WILDCARD_MARKER if token is WILDCARD else token
+                for token in template.signature
+            ],
+        }
+        leaf = leaves[(template.process, template.signature)].pop(0)
+        if leaf != tree._key(template.process, template.signature)[1]:
+            entry["leaf"] = leaf
+        entries.append(entry)
     payload = {
         "version": _FORMAT_VERSION,
-        "merge_threshold": store._tree.merge_threshold,
-        "templates": [
-            {
-                "id": template.template_id,
-                "process": template.process,
-                "support": template.support,
-                "signature": [
-                    _WILDCARD_MARKER if token is WILDCARD else token
-                    for token in template.signature
-                ],
-            }
-            for template in store.templates()
-        ],
+        "merge_threshold": tree.merge_threshold,
+        "templates": entries,
     }
     return json.dumps(payload)
 
@@ -61,6 +72,7 @@ def store_from_json(document: Union[str, bytes]) -> TemplateStore:
         merge_threshold=payload["merge_threshold"]
     )
     templates = []
+    leaves = {}
     for entry in payload["templates"]:
         signature = tuple(
             WILDCARD if token == _WILDCARD_MARKER else token
@@ -74,6 +86,7 @@ def store_from_json(document: Union[str, bytes]) -> TemplateStore:
                 support=entry["support"],
             )
         )
+        leaves[entry["id"]] = entry.get("leaf")
     templates.sort(key=lambda template: template.template_id)
     expected = list(range(1, len(templates) + 1))
     if [t.template_id for t in templates] != expected:
@@ -84,11 +97,15 @@ def store_from_json(document: Union[str, bytes]) -> TemplateStore:
         for template in templates
     }
     # Rebuild the signature tree so matching works: each signature is
-    # seeded straight into its leaf (re-inserting a rendering would
-    # not be guaranteed to wildcard the same positions).
+    # seeded straight into the leaf it was mined in (re-inserting a
+    # rendering would not be guaranteed to wildcard the same positions).
     tree = store._tree
     for template in templates:
-        leaf = tree._leaf_for(template.process, template.signature)
+        leaf = tree._leaf_for(
+            template.process,
+            template.signature,
+            leaves[template.template_id],
+        )
         leaf.signatures.append(template.signature)
         leaf.supports.append(template.support)
     store._rebuild_dispatch()

@@ -229,11 +229,13 @@ class SignatureTree:
         )
         return process, first
 
-    def _leaf_for(self, process: str, presig: Signature) -> _Leaf:
+    def _leaf_for(
+        self, process: str, presig: Signature, first: Optional[str] = None
+    ) -> _Leaf:
         """The leaf a presignature (or signature) belongs in, created
-        if missing."""
+        if missing; ``first`` overrides the key's stable token."""
         level1 = self._tree.setdefault(len(presig), {})
-        key = self._key(process, presig)
+        key = self._key(process, presig) if first is None else (process, first)
         leaf = level1.get(key)
         if leaf is None:
             leaf = level1[key] = _Leaf()
@@ -285,6 +287,23 @@ class SignatureTree:
                     )
                 )
         return out
+
+    def leaf_tokens(self) -> Dict[Tuple[str, Signature], List[str]]:
+        """``(process, signature)`` -> the key token of each leaf that
+        holds it, in :meth:`signatures` order.
+
+        A merge can wildcard the stable token its leaf is keyed by, so
+        a signature's own key need not name its leaf: mining ``foo x y``
+        then ``12 foo y`` leaves ``<*> <*> y`` in leaf ``foo``.
+        """
+        tokens: Dict[Tuple[str, Signature], List[str]] = {}
+        for level1 in self._tree.values():
+            for (process, first), leaf in level1.items():
+                for signature in leaf.signatures:
+                    tokens.setdefault((process, signature), []).append(
+                        first
+                    )
+        return tokens
 
     def dispatch_map(
         self, ids: Mapping[Tuple[str, Signature], int], unknown: int

@@ -15,9 +15,8 @@ Every layer implements the same protocol:
 * ``trainable`` — when False the optimizer skips the layer, which is
   how the paper's transfer learning freezes the bottom of a teacher
   model while fine-tuning the top;
-* ``clear_cache()`` — drop forward-pass caches (used before pickling
-  a trained model, e.g. when parallel training returns it from a
-  worker process).
+* ``clear_cache()`` — drop forward-pass caches (before pickling a
+  trained model, so the payload holds weights, not activations).
 
 Parameter-bearing layers accept a ``dtype`` (default float64);
 ``np.float32`` opts into the faster low-precision path end to end.
@@ -70,9 +69,6 @@ class Layer:
         """Reset accumulated gradients to zero."""
         for key, value in self.params.items():
             self.grads[key] = np.zeros_like(value)
-
-    def reset_state(self) -> None:
-        """Clear any recurrent state; no-op for feed-forward layers."""
 
     def clear_cache(self) -> None:
         """Drop forward-pass caches; no-op for cacheless layers."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import copy
 import time
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import BinaryIO, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -25,9 +25,8 @@ from repro.nn.lstm import StackInference
 from repro.nn.optimizers import Optimizer, ParamTriple
 
 #: Version of the ``.npz`` weight archive layout written by
-#: :meth:`Sequential.save`.  Version 1 added the ``__repro_format__``
-#: and ``__repro_dtype__`` metadata entries; archives without them are
-#: legacy (pre-versioning) files and stay loadable.
+#: :meth:`Sequential.save`: the weights plus the ``__repro_format__``
+#: and ``__repro_dtype__`` metadata entries.
 WEIGHTS_FORMAT_VERSION = 1
 
 #: Metadata keys embedded in the archive alongside the weights.
@@ -161,9 +160,8 @@ class Sequential:
     def clear_caches(self) -> None:
         """Drop every layer's forward-pass cache and inference state.
 
-        Called before pickling a trained model (e.g. returning it from
-        a parallel-training worker) so the payload holds weights, not
-        stale activations.
+        Call before pickling a trained model so the payload holds
+        weights, not stale activations.
         """
         for layer in self.layers:
             layer.clear_cache()
@@ -348,76 +346,50 @@ class Sequential:
                     return param.dtype
         return np.dtype(np.float64)
 
-    def save(self, path: str, quantize: bool = False) -> None:
+    def save(self, path: str) -> None:
         """Persist weights to a versioned ``.npz`` archive.
 
         Besides the weights the archive carries a format-version tag
         and the model's dtype, so :meth:`load` can reject archives
         written by an incompatible layout or precision instead of
         silently mis-loading them (the artifact store relies on this).
-
-        ``quantize=True`` writes an int8 archive instead: every 2-D+
-        float tensor is stored as symmetric int8 plus a ``<key>.scale``
-        factor (1-D biases stay float32).  Such archives are tagged
-        ``__repro_dtype__ = 'int8'`` and only load back with
-        ``allow_cast=True`` — the dequantized weights are approximate.
         """
         self._require_built()
-        if quantize:
-            from repro.nn.quant import quantize_weights
-
-            payload = quantize_weights(self.get_weights())
-            dtype_tag = "int8"
-        else:
-            payload = self.get_weights()
-            dtype_tag = str(self.dtype)
+        payload = self.get_weights()
         payload[_FORMAT_KEY] = np.array(
             WEIGHTS_FORMAT_VERSION, dtype=np.int64
         )
-        payload[_DTYPE_KEY] = np.array(dtype_tag)
+        payload[_DTYPE_KEY] = np.array(str(self.dtype))
         np.savez(path, **payload)
 
-    def load(self, path: str, allow_cast: bool = False) -> None:
-        """Load weights from an ``.npz`` file written by :meth:`save`.
+    def load(self, source: Union[str, BinaryIO]) -> None:
+        """Load weights from an ``.npz`` archive written by :meth:`save`
+        (a path or a binary file object).
 
-        Versioned archives (format tag present) are validated: an
-        unknown format version is rejected, and a dtype tag that does
-        not match the model's precision is rejected unless
-        ``allow_cast=True`` opts into the lossy cast.  Legacy archives
-        without tags load exactly as before (weights cast into the
-        model's dtype).
+        An archive without a format tag, of another format version, or
+        whose dtype tag is not the model's precision is refused with
+        ``ValueError``.
         """
-        with np.load(path) as archive:
+        with np.load(source) as archive:
             weights = {key: archive[key] for key in archive.files}
         version_tag = weights.pop(_FORMAT_KEY, None)
         dtype_tag = weights.pop(_DTYPE_KEY, None)
-        if version_tag is not None:
-            version = int(version_tag)
-            if version != WEIGHTS_FORMAT_VERSION:
-                raise ValueError(
-                    f"{path}: weight archive format version {version} "
-                    "is not supported by this build (supports "
-                    f"{WEIGHTS_FORMAT_VERSION}); re-save the model "
-                    "with a matching version of repro"
-                )
-            if dtype_tag is not None and str(dtype_tag) == "int8":
-                if not allow_cast:
-                    raise ValueError(
-                        f"{path}: archive holds int8-quantized weights "
-                        "(lossy); pass allow_cast=True to dequantize "
-                        "into this model explicitly"
-                    )
-                from repro.nn.quant import dequantize_weights
-
-                self.set_weights(dequantize_weights(weights))
-                return
-            if dtype_tag is not None:
-                saved_dtype = np.dtype(str(dtype_tag))
-                if saved_dtype != self.dtype and not allow_cast:
-                    raise ValueError(
-                        f"{path}: archive holds {saved_dtype} weights "
-                        f"but the model is {self.dtype}; rebuild the "
-                        f"model with dtype={saved_dtype} or pass "
-                        "allow_cast=True to cast explicitly"
-                    )
+        if version_tag is None:
+            raise ValueError(
+                "not a tagged weight archive; re-save the model with "
+                "this version of repro"
+            )
+        version = int(version_tag)
+        if version != WEIGHTS_FORMAT_VERSION:
+            raise ValueError(
+                f"weight archive format version {version} is not "
+                "supported by this build (supports "
+                f"{WEIGHTS_FORMAT_VERSION}); re-save the model with a "
+                "matching version of repro"
+            )
+        if str(dtype_tag) != str(self.dtype):
+            raise ValueError(
+                f"archive holds {dtype_tag} weights but the model is "
+                f"{self.dtype}; rebuild the model with dtype={dtype_tag}"
+            )
         self.set_weights(weights)

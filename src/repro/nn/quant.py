@@ -2,28 +2,23 @@
 
 The bitwise-float64 default path is untouched: quantization is a
 separate, explicitly-requested engine, mirroring how ``dtype=float32``
-opts into the low-precision training path.  Two pieces live here:
+opts into the low-precision training path.
 
-* :func:`quantize_weights` / :func:`dequantize_weights` — the archive
-  codec behind ``Sequential.save(path, quantize=True)``.  Every 2-D+
-  float tensor is stored as symmetric per-tensor int8
-  (``scale = max|W| / 127``) plus a ``<key>.scale`` factor; 1-D biases
-  stay float32 (quantizing them costs accuracy and saves nothing).
-* :class:`QuantizedModel` — an inference-only twin of a trained
-  detector ``Sequential`` (TupleEmbedding → LSTM/GRU → LSTM/GRU →
-  Dense).  Weights are quantized to int8 and the float32 dequantized
-  operands cached, so matmuls stay on the fast BLAS path while the
-  model's numeric identity is exactly "int8 weights".  The embedding
-  and the first recurrent layer's input projection are fused into one
-  precomputed ``(id, gap) -> x_proj`` table, activations run step-major
-  in persistent scratch buffers (zero steady-state large allocations),
-  and the gate sigmoids use the ``sigmoid(x) = 0.5 tanh(0.5 x) + 0.5``
-  identity with the inner ``0.5`` folded into the cached weights: LSTM
-  gate columns are permuted to ``i, f, o | g`` and the sigmoid columns
-  pre-scaled by one half, so each recurrent step's activation is a
-  single contiguous ``np.tanh`` over the whole gate block and the
-  ``0.5 t + 0.5`` affine is absorbed into the (much smaller) state
-  updates.
+:class:`QuantizedModel` is an inference-only twin of a trained detector
+``Sequential`` (TupleEmbedding → LSTM → LSTM → Dense).  Weights are
+quantized to symmetric per-tensor int8 (``scale = max|W| / 127``) and
+the float32 dequantized operands cached, so matmuls stay on the fast
+BLAS path while the model's numeric identity is exactly "int8
+weights".  The embedding and the first LSTM's input projection are
+fused into one precomputed ``(id, gap) -> x_proj`` table, activations
+run step-major in persistent scratch buffers (zero steady-state large
+allocations), and the gate sigmoids use the
+``sigmoid(x) = 0.5 tanh(0.5 x) + 0.5`` identity with the inner ``0.5``
+folded into the cached weights: gate columns are permuted to
+``i, f, o | g`` and the sigmoid columns pre-scaled by one half, so
+each recurrent step's activation is a single contiguous ``np.tanh``
+over the whole gate block and the ``0.5 t + 0.5`` affine is absorbed
+into the (much smaller) state updates.
 
 Accuracy is gated in ``benchmarks/perf/quant.py``: anomaly decisions
 (score vs. threshold) must agree with the float64 reference on at
@@ -32,73 +27,15 @@ least 99% of scored messages.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
-from repro.nn.gru import GRU
 from repro.nn.layers import Dense, TupleEmbedding
 from repro.nn.lstm import LSTM
 
-#: Archive entry suffix carrying a quantized tensor's scale factor.
-SCALE_SUFFIX = ".scale"
-
 #: Symmetric int8 range: scales map ``max|W|`` onto 127.
 _QMAX = 127
-
-
-def quantize_weights(
-    weights: Dict[str, np.ndarray],
-) -> Dict[str, np.ndarray]:
-    """Quantize a ``get_weights()`` dict to the int8 archive layout.
-
-    2-D+ float tensors become int8 arrays plus a float64
-    ``<key>.scale`` entry; 1-D float tensors (biases) are stored as
-    float32; anything else passes through unchanged.
-    """
-    payload: Dict[str, np.ndarray] = {}
-    for key, value in weights.items():
-        if not np.issubdtype(value.dtype, np.floating):
-            payload[key] = value
-        elif value.ndim >= 2:
-            scale = float(np.max(np.abs(value))) / _QMAX
-            if scale == 0.0:
-                scale = 1.0
-            quantized = np.clip(
-                np.round(value / scale), -_QMAX, _QMAX
-            ).astype(np.int8)
-            payload[key] = quantized
-            payload[key + SCALE_SUFFIX] = np.float64(scale)
-        else:
-            payload[key] = value.astype(np.float32)
-    return payload
-
-
-def dequantize_weights(
-    weights: Dict[str, np.ndarray],
-) -> Dict[str, np.ndarray]:
-    """Invert :func:`quantize_weights` into float32 tensors.
-
-    The result is approximate — symmetric int8 rounds each weight to
-    one of 255 levels — which is why ``Sequential.load`` demands
-    ``allow_cast=True`` for int8 archives.
-    """
-    restored: Dict[str, np.ndarray] = {}
-    for key, value in weights.items():
-        if key.endswith(SCALE_SUFFIX):
-            continue
-        if value.dtype == np.int8:
-            scale = weights.get(key + SCALE_SUFFIX)
-            if scale is None:
-                raise ValueError(
-                    f"quantized archive is missing {key + SCALE_SUFFIX!r}"
-                )
-            restored[key] = value.astype(np.float32) * np.float32(
-                float(scale)
-            )
-        else:
-            restored[key] = value
-    return restored
 
 
 def _dequantized(value: np.ndarray) -> "tuple[np.ndarray, float]":
@@ -166,25 +103,26 @@ class QuantizedModel:
     def from_model(cls, model: "object") -> "QuantizedModel":
         """Quantize a ``Sequential`` of the detector architecture.
 
-        The supported stack is TupleEmbedding → recurrent (sequences)
-        → recurrent → Dense, i.e. exactly what
-        :class:`repro.core.detector.LSTMAnomalyDetector` builds.
+        The supported stack is TupleEmbedding → LSTM (sequences) →
+        LSTM → Dense, i.e. exactly what
+        :class:`repro.core.detector.LSTMAnomalyDetector` builds with
+        its default cell.
         """
         layers = getattr(model, "layers", None)
         if (
             not layers
             or len(layers) != 4
             or not isinstance(layers[0], TupleEmbedding)
-            or not isinstance(layers[1], (LSTM, GRU))
-            or not isinstance(layers[2], (LSTM, GRU))
+            or not isinstance(layers[1], LSTM)
+            or not isinstance(layers[2], LSTM)
             or not isinstance(layers[3], Dense)
         ):
             raise ValueError(
                 "QuantizedModel supports the detector stack "
-                "TupleEmbedding -> LSTM/GRU -> LSTM/GRU -> Dense; got "
+                "TupleEmbedding -> LSTM -> LSTM -> Dense; got "
                 f"{[type(layer).__name__ for layer in layers or []]}"
             )
-        embedding, rec1, rec2, dense = layers
+        embedding, lstm1, lstm2, dense = layers
         if dense.activation_name != "linear":
             raise ValueError(
                 "QuantizedModel expects a linear output layer, got "
@@ -198,7 +136,7 @@ class QuantizedModel:
         gaps_table, scales[f"{embedding.name}.gaps.E"] = _dequantized(
             embedding.gap_embedding.params["E"]
         )
-        w1, scales[f"{rec1.name}.W"] = _dequantized(rec1.params["W"])
+        w1, scales[f"{lstm1.name}.W"] = _dequantized(lstm1.params["W"])
         # Fuse embedding lookup + first input projection + first bias
         # into one (id_vocab, gap_vocab, gates) gather table: the
         # per-tick x_proj becomes a single fancy index.
@@ -214,64 +152,48 @@ class QuantizedModel:
         xproj_table = (
             concat.reshape(-1, embedding.output_dim) @ w1
         ).reshape(id_vocab, gap_vocab, w1.shape[1])
-        xproj_table += rec1.params["b"].astype(np.float32)
+        xproj_table += lstm1.params["b"].astype(np.float32)
 
         # LSTM gate columns are stored i, f, g, o; permute the cached
-        # operands to i, f, o | g (GRU's z, r | h order already has
-        # its sigmoid gates leading) and pre-scale the sigmoid columns
-        # by 0.5, so each step's activation is one contiguous np.tanh
-        # yielding t = tanh(0.5 z) for sigmoid gates and tanh(z) for
-        # candidate blocks.
-        def gate_permutation(layer: "object") -> Optional[np.ndarray]:
-            if not isinstance(layer, LSTM):
-                return None
-            h = layer.hidden
+        # operands to i, f, o | g and pre-scale the three sigmoid
+        # blocks by 0.5, so each step's activation is one contiguous
+        # np.tanh yielding t = tanh(0.5 z) for i/f/o and tanh(z) for g.
+        def gate_order(hidden: int) -> np.ndarray:
             return np.concatenate(
                 (
-                    np.arange(0, 2 * h),
-                    np.arange(3 * h, 4 * h),
-                    np.arange(2 * h, 3 * h),
+                    np.arange(0, 2 * hidden),
+                    np.arange(3 * hidden, 4 * hidden),
+                    np.arange(2 * hidden, 3 * hidden),
                 )
             )
 
-        def sigmoid_columns(layer: "object") -> int:
-            return (
-                3 if isinstance(layer, LSTM) else 2
-            ) * layer.hidden
-
         cells: List[Dict[str, object]] = []
-        for layer in (rec1, rec2):
+        for layer in (lstm1, lstm2):
             recurrent, scale = _dequantized(layer.params["U"])
             scales[f"{layer.name}.U"] = scale
-            perm = gate_permutation(layer)
-            if perm is not None:
-                recurrent = np.ascontiguousarray(recurrent[:, perm])
-            recurrent[:, :sigmoid_columns(layer)] *= np.float32(0.5)
+            recurrent = np.ascontiguousarray(
+                recurrent[:, gate_order(layer.hidden)]
+            )
+            recurrent[:, :3 * layer.hidden] *= np.float32(0.5)
             cells.append(
                 {
-                    "kind": "lstm" if isinstance(layer, LSTM) else "gru",
                     "hidden": layer.hidden,
                     "U": recurrent,
                     "return_sequences": layer.return_sequences,
                 }
             )
-        perm1 = gate_permutation(rec1)
-        if perm1 is not None:
-            xproj_table = np.ascontiguousarray(
-                xproj_table[..., perm1]
-            )
-        xproj_table[..., :sigmoid_columns(rec1)] *= np.float32(0.5)
+        xproj_table = np.ascontiguousarray(
+            xproj_table[..., gate_order(lstm1.hidden)]
+        )
+        xproj_table[..., :3 * lstm1.hidden] *= np.float32(0.5)
         # Layer 2's input projection runs per tick (its input is layer
         # 1's output); keep its weight/bias as cached operands.
-        w2, scales[f"{rec2.name}.W"] = _dequantized(rec2.params["W"])
-        b2 = rec2.params["b"].astype(np.float32)
-        perm2 = gate_permutation(rec2)
-        if perm2 is not None:
-            w2 = np.ascontiguousarray(w2[:, perm2])
-            b2 = np.ascontiguousarray(b2[perm2])
-        w2[:, :sigmoid_columns(rec2)] *= np.float32(0.5)
-        b2 = b2.copy()
-        b2[:sigmoid_columns(rec2)] *= np.float32(0.5)
+        w2, scales[f"{lstm2.name}.W"] = _dequantized(lstm2.params["W"])
+        order2 = gate_order(lstm2.hidden)
+        w2 = np.ascontiguousarray(w2[:, order2])
+        b2 = lstm2.params["b"].astype(np.float32)[order2]
+        w2[:, :3 * lstm2.hidden] *= np.float32(0.5)
+        b2[:3 * lstm2.hidden] *= np.float32(0.5)
         cells[1]["W"] = w2
         cells[1]["b"] = b2
 
@@ -334,62 +256,6 @@ class QuantizedModel:
             h_prev = target
         return sequence if sequence is not None else h_prev
 
-    def _gru_pass(
-        self, index: int, x_proj: np.ndarray
-    ) -> np.ndarray:
-        """One GRU layer over step-major ``x_proj (steps, batch, 3h)``."""
-        cell = self._cells[index]
-        recurrent = cell["U"]
-        hidden = cell["hidden"]
-        steps, batch, _ = x_proj.shape
-        u_zr = recurrent[:, :2 * hidden]
-        u_h = recurrent[:, 2 * hidden:]
-        h_prev = self._buf(f"h0_{index}", (batch, hidden))
-        h_prev.fill(0.0)
-        h_buf = self._buf(f"h1_{index}", (batch, hidden))
-        gate = self._buf(f"z_{index}", (batch, 2 * hidden))
-        rh = self._buf(f"rh_{index}", (batch, hidden))
-        candidate = self._buf(f"cand_{index}", (batch, hidden))
-        tmp = self._buf(f"tmp_{index}", (batch, hidden))
-        sequence = (
-            self._buf(f"seq_{index}", (steps, batch, hidden))
-            if cell["return_sequences"]
-            else None
-        )
-        for step in range(steps):
-            np.matmul(h_prev, u_zr, out=gate)
-            gate += x_proj[step, :, :2 * hidden]
-            np.tanh(gate, out=gate)
-            t_z = gate[:, :hidden]
-            t_r = gate[:, hidden:2 * hidden]
-            # r h = 0.5 (t_r + 1) h
-            np.add(t_r, 1.0, out=rh)
-            rh *= h_prev
-            rh *= 0.5
-            np.matmul(rh, u_h, out=candidate)
-            candidate += x_proj[step, :, 2 * hidden:]
-            np.tanh(candidate, out=candidate)
-            # h' = 0.5 ((t_z + 1) h + (1 - t_z) candidate)
-            target = h_buf if sequence is None else sequence[step]
-            np.add(t_z, 1.0, out=tmp)
-            np.multiply(tmp, h_prev, out=target)
-            np.subtract(1.0, t_z, out=tmp)
-            tmp *= candidate
-            target += tmp
-            target *= 0.5
-            h_prev, h_buf = target, h_prev
-        return sequence if sequence is not None else h_prev
-
-    def _cell_pass(
-        self, index: int, x_proj: np.ndarray
-    ) -> np.ndarray:
-        runner = (
-            self._lstm_pass
-            if self._cells[index]["kind"] == "lstm"
-            else self._gru_pass
-        )
-        return runner(index, x_proj)
-
     def infer(self, x: np.ndarray) -> np.ndarray:
         """Float32 logits for integer contexts ``(batch, window, 2)``.
 
@@ -410,7 +276,7 @@ class QuantizedModel:
         # slower copy loop.)
         flat = ids[..., 0].T * self._gap_vocab + ids[..., 1].T
         x_proj = self._xproj_flat[flat]
-        sequence = self._cell_pass(0, x_proj)
+        sequence = self._lstm_pass(0, x_proj)
         cell2 = self._cells[1]
         hidden1 = sequence.shape[-1]
         gates2 = cell2["W"].shape[1]
@@ -421,15 +287,10 @@ class QuantizedModel:
             out=x_proj2.reshape(-1, gates2),
         )
         x_proj2 += cell2["b"]
-        final = self._cell_pass(1, x_proj2)
+        final = self._lstm_pass(1, x_proj2)
         logits = final @ self._dense_weight
         logits += self._dense_bias
         return logits
 
 
-__all__ = [
-    "QuantizedModel",
-    "SCALE_SUFFIX",
-    "dequantize_weights",
-    "quantize_weights",
-]
+__all__ = ["QuantizedModel"]

@@ -82,6 +82,11 @@ AUTO_ADAPT_ORIGIN = "auto-adapt"
 #: Version of the controller's checkpointed state layout.
 ADAPT_STATE_VERSION = 2
 
+#: Lower bound on the baseline anomaly rate inside the probation
+#: ratio test, so a silent pre-drift period cannot make the rollback
+#: guard hair-triggered.
+BASELINE_FLOOR = 0.02
+
 #: CPU niceness the background fine-tune worker drops to.  Serving
 #: latency beats retraining latency: on a busy (or single-core) host
 #: the scheduler gives the worker only leftover cycles, so ingest
@@ -107,10 +112,8 @@ class AdaptConfig:
             fine-tune trains on (the paper's "about one week").
         probation_ticks: post-swap guard window length.
         rollback_ratio: roll back when the probation anomaly rate
-            exceeds this multiple of the pre-drift baseline rate.
-        baseline_floor: lower bound on the baseline rate inside the
-            ratio test, so a silent pre-drift period cannot make the
-            guard hair-triggered.
+            exceeds this multiple of the pre-drift baseline rate
+            (floored at :data:`BASELINE_FLOOR`).
         epochs: fine-tune epochs (transfer adaptation freezes the
             lower LSTM either way).
         cooldown_ticks: ticks after a swap/rollback before drift
@@ -130,7 +133,6 @@ class AdaptConfig:
     replay_ticks: int = 48
     probation_ticks: int = 24
     rollback_ratio: float = 3.0
-    baseline_floor: float = 0.02
     epochs: int = 2
     cooldown_ticks: int = 32
     inline: bool = False
@@ -152,8 +154,6 @@ class AdaptConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.rollback_ratio <= 0:
             raise ValueError("rollback_ratio must be positive")
-        if self.baseline_floor <= 0:
-            raise ValueError("baseline_floor must be positive")
         if self.cooldown_ticks < 0:
             raise ValueError("cooldown_ticks must be >= 0")
 
@@ -618,7 +618,7 @@ class AdaptationController:
         self._probation_elapsed += 1
         rate = self._probation_anomalies / max(1, self._probation_kept)
         limit = self.config.rollback_ratio * max(
-            self._baseline_rate, self.config.baseline_floor
+            self._baseline_rate, BASELINE_FLOOR
         )
         registry = telemetry.default_registry()
         registry.gauge("adapt.probation.anomaly_rate").set(rate)
@@ -747,6 +747,7 @@ __all__ = [
     "ADAPT_STATE_VERSION",
     "AUTO_ADAPT_ORIGIN",
     "AdaptConfig",
+    "BASELINE_FLOOR",
     "AdaptationController",
     "PHASE_COOLDOWN",
     "PHASE_PROBATION",

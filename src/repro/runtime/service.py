@@ -216,7 +216,6 @@ def detector_from_release(
     store: ArtifactStore, release_id: int
 ) -> "tuple[LSTMAnomalyDetector, float]":
     """Reconstruct the detector and threshold of one release."""
-    release = store.manifest(release_id)
     config = json.loads(store.read(release_id, "config.json"))
     template_store = store_from_json(
         store.read(release_id, "templates.json")
@@ -232,10 +231,11 @@ def detector_from_release(
         dtype=np.dtype(config.get("dtype", "float64")),
         seed=config.get("seed", 0),
     )
-    weights_path = store.object_path(
-        release.artifacts["weights.npz"]
+    # Read through the store, so a blob that no longer hashes to its
+    # name is a StoreError rather than a half-loaded or edited model.
+    detector.restore_weights(
+        io.BytesIO(store.read(release_id, "weights.npz"))
     )
-    detector.restore_weights(str(weights_path))
     return detector, float(config["threshold"])
 
 
@@ -320,13 +320,8 @@ class MonitorService:
                 "with stage_release() before opening the service"
             )
         detector, threshold = detector_from_release(store, current)
-        # Drop-and-count out-of-order arrivals: one late message must
-        # not wedge the tick loop.
         monitor = OnlineMonitor(
-            detector,
-            threshold=threshold,
-            strict_order=False,
-            quantized=config.quantized,
+            detector, threshold=threshold, quantized=config.quantized
         )
         return cls(config, monitor, store, current)
 

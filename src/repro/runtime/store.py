@@ -100,7 +100,7 @@ class ArtifactStore:
         return digest
 
     def object_path(self, digest: str) -> pathlib.Path:
-        """Filesystem path of a stored blob (for zero-copy readers)."""
+        """Filesystem path of a stored blob (``StoreError`` if missing)."""
         path = self._blob_path(digest)
         if not path.exists():
             raise StoreError(f"missing object {digest}")

@@ -10,10 +10,9 @@ module is the dependency-free instrumentation layer the hot paths
 * :class:`Counter` — monotonically increasing event counts;
 * :class:`Gauge` — last-written values (e.g. the drift similarity);
 * :class:`Histogram` — fixed-bucket distributions (latencies, scores);
-* :meth:`MetricsRegistry.timed` — a context manager / decorator that
-  records wall-clock durations into a histogram;
-* JSON and Prometheus text exporters, with a Prometheus *parser* so a
-  scraped snapshot round-trips back into a registry.
+* :meth:`MetricsRegistry.timed` — a context manager that records
+  wall-clock durations into a histogram;
+* JSON and Prometheus text exporters.
 
 A process-wide default registry backs the convenience functions
 (:func:`counter`, :func:`gauge`, :func:`histogram`, :func:`timed`);
@@ -31,11 +30,10 @@ threads concurrently.
 from __future__ import annotations
 
 import contextlib
-import functools
 import json
 import re
 import time
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,10 +84,6 @@ class Gauge:
         """Overwrite the gauge with ``value``."""
         self.value = float(value)
 
-    def add(self, amount: float) -> None:
-        """Add ``amount`` to the gauge's current value."""
-        self.value += float(amount)
-
 
 class Histogram:
     """A fixed-bucket histogram with Prometheus ``le`` semantics.
@@ -136,11 +130,10 @@ class Histogram:
 
 
 class _Timed:
-    """Context manager / decorator recording durations in a histogram.
+    """Context manager recording a block's duration in a histogram.
 
-    The registry is resolved lazily (at ``__enter__`` / call time, not
-    at construction) so a decorator applied at import time still
-    reports into whatever registry is active when the function runs.
+    The registry is resolved when the block exits, so :func:`timed`
+    reports into whatever registry is active then.
     """
 
     def __init__(
@@ -154,27 +147,15 @@ class _Timed:
         self._edges = edges
         self._start = 0.0
 
-    def _histogram(self) -> Histogram:
-        registry = self._registry or default_registry()
-        return registry.histogram(self._name, edges=self._edges)
-
     def __enter__(self) -> "_Timed":
         self._start = time.perf_counter()
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        self._histogram().observe(time.perf_counter() - self._start)
-
-    def __call__(self, function: Callable) -> Callable:
-        @functools.wraps(function)
-        def wrapper(*args: object, **kwargs: object) -> object:
-            start = time.perf_counter()
-            try:
-                return function(*args, **kwargs)
-            finally:
-                self._histogram().observe(time.perf_counter() - start)
-
-        return wrapper
+        registry = self._registry or default_registry()
+        registry.histogram(self._name, edges=self._edges).observe(
+            time.perf_counter() - self._start
+        )
 
 
 class MetricsRegistry:
@@ -228,14 +209,8 @@ class MetricsRegistry:
     def timed(
         self, name: str, edges: Sequence[float] = TIME_BUCKETS
     ) -> _Timed:
-        """Time a block (``with``) or a function (decorator)."""
+        """Time a ``with`` block."""
         return _Timed(name, registry=self, edges=edges)
-
-    def reset(self) -> None:
-        """Drop every metric (a fresh registry without re-wiring)."""
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
 
     def merge(self, snapshots: Sequence[Dict]) -> "MetricsRegistry":
         """Fold :meth:`snapshot` dicts into this registry, in order.
@@ -300,9 +275,7 @@ class MetricsRegistry:
     def to_prometheus(self) -> str:
         """The registry in the Prometheus text exposition format.
 
-        The ``# HELP`` line carries the registry's dotted metric name,
-        which is what lets :func:`from_prometheus` reconstruct an
-        identical registry from the exported text.
+        The ``# HELP`` line carries the registry's dotted metric name.
         """
         lines: List[str] = []
         for name, metric in sorted(self._counters.items()):
@@ -340,88 +313,13 @@ def _prom_name(name: str) -> str:
 
 
 def _format_value(value: float) -> str:
-    """Format a sample value so parse → re-export is byte-stable."""
+    """Format a sample value: integral values without a fraction."""
     if isinstance(value, int):
         return str(value)
     as_float = float(value)
     if as_float == int(as_float) and abs(as_float) < 1e16:
         return str(int(as_float))
     return repr(as_float)
-
-
-_SAMPLE_RE = re.compile(
-    r'^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)'
-    r'(?:\{le="(?P<le>[^"]+)"\})?'
-    r"\s+(?P<value>\S+)$"
-)
-
-
-def from_prometheus(text: str) -> MetricsRegistry:
-    """Rebuild a registry from :meth:`MetricsRegistry.to_prometheus`.
-
-    Uses the ``# HELP`` lines to recover the original dotted names, so
-    ``from_prometheus(r.to_prometheus()).to_prometheus()`` is
-    byte-identical to ``r.to_prometheus()`` and the snapshots match.
-    """
-    registry = MetricsRegistry()
-    help_names: Dict[str, str] = {}
-    types: Dict[str, str] = {}
-    buckets: Dict[str, List[Tuple[float, int]]] = {}
-    sums: Dict[str, float] = {}
-    totals: Dict[str, int] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("# HELP "):
-            _, _, rest = line.partition("# HELP ")
-            prom, _, original = rest.partition(" ")
-            help_names[prom] = original or prom
-            continue
-        if line.startswith("# TYPE "):
-            _, _, rest = line.partition("# TYPE ")
-            prom, _, kind = rest.partition(" ")
-            types[prom] = kind
-            continue
-        if line.startswith("#"):
-            continue
-        match = _SAMPLE_RE.match(line)
-        if match is None:
-            raise ValueError(f"unparseable prometheus sample: {line!r}")
-        sample, le, raw = match.group("name", "le", "value")
-        value = float(raw)
-        if le is not None:
-            base = sample[: -len("_bucket")]
-            if le != "+Inf":
-                buckets.setdefault(base, []).append(
-                    (float(le), int(value))
-                )
-            continue
-        if sample.endswith("_sum") and sample[: -4] in types:
-            sums[sample[: -4]] = value
-            continue
-        if sample.endswith("_count") and sample[: -6] in types:
-            totals[sample[: -6]] = int(value)
-            continue
-        kind = types.get(sample, "gauge")
-        name = help_names.get(sample, sample)
-        if kind == "counter":
-            registry.counter(name).inc(int(value))
-        else:
-            registry.gauge(name).set(value)
-    for prom, pairs in buckets.items():
-        name = help_names.get(prom, prom)
-        pairs.sort(key=lambda pair: pair[0])
-        edges = [edge for edge, _ in pairs]
-        histogram = registry.histogram(name, edges=edges)
-        previous = 0
-        for index, (_, cumulative) in enumerate(pairs):
-            histogram.counts[index] = cumulative - previous
-            previous = cumulative
-        histogram.count = totals.get(prom, previous)
-        histogram.counts[-1] = histogram.count - previous
-        histogram.sum = sums.get(prom, 0.0)
-    return registry
 
 
 # -- no-op implementation (overhead baseline) ---------------------------
@@ -438,9 +336,6 @@ class _NullGauge(Gauge):
     __slots__ = ()
 
     def set(self, value: float) -> None:
-        pass
-
-    def add(self, amount: float) -> None:
         pass
 
 
@@ -536,5 +431,5 @@ def histogram(
 def timed(
     name: str, edges: Sequence[float] = TIME_BUCKETS
 ) -> _Timed:
-    """Time a block or function against the *current* default registry."""
+    """Time a ``with`` block against the *current* default registry."""
     return _Timed(name, registry=None, edges=edges)

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.adaptation import (
     distribution_shift,
-    full_retrain,
     transfer_adapt,
     update_detected,
 )
@@ -94,13 +93,6 @@ class TestTransferAdapt:
             teacher, stream(fresh, start=TRACE_START + 5e7), epochs=1
         )
         assert teacher.store.vocabulary_size > before
-
-
-class TestFullRetrain:
-    def test_produces_working_student(self, teacher):
-        new = stream(NEW_TEXTS, start=TRACE_START + 6e7)
-        student = full_retrain(teacher, new)
-        assert len(student.score(new)) > 0
 
 
 class TestDriftTrigger:

@@ -262,7 +262,7 @@ class TestInferenceState:
     @staticmethod
     def fresh_twin(detector, tmp_path):
         path = str(tmp_path / "trained.npz")
-        detector.save_weights(path)
+        detector.model.save(path)
         twin = LSTMAnomalyDetector(
             detector.store, vocabulary_capacity=16, window=4,
             hidden=(12, 12), id_dim=8, seed=5,
@@ -303,7 +303,7 @@ class TestInferenceState:
 class TestPersistence:
     def test_save_restore_roundtrip(self, trained_detector, tmp_path):
         path = str(tmp_path / "weights.npz")
-        trained_detector.save_weights(path)
+        trained_detector.model.save(path)
         stream = cyclic_stream(80)
         fresh = LSTMAnomalyDetector(
             trained_detector.store,

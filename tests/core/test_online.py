@@ -126,10 +126,15 @@ class TestObserve:
         assert monitor.run(merged) == []
 
     def test_out_of_order_rejected(self, detector, threshold):
+        """A message older than its device's newest is not ingested:
+        unscored, unobserved, and counted as reordered."""
         monitor = OnlineMonitor(detector, threshold)
-        monitor.observe(make_message(timestamp=TRACE_START + 100))
-        with pytest.raises(ValueError):
-            monitor.observe(make_message(timestamp=TRACE_START))
+        monitor.observe_batch([make_message(timestamp=TRACE_START + 100)])
+        monitor.observe_batch([make_message(timestamp=TRACE_START)])
+        assert not monitor.last_batch.kept[0]
+        assert np.isnan(monitor.last_batch.scores[0])
+        assert monitor.n_observed == 1
+        assert monitor.n_reordered == 1
 
     def test_invalid_params(self, detector, threshold):
         with pytest.raises(ValueError):
@@ -146,7 +151,7 @@ class TestOnlineOfflineConsistency:
         monitor = OnlineMonitor(detector, threshold=float("inf"))
         online_scores = []
         for message in stream:
-            monitor.observe(message)
+            monitor.observe_batch([message])
             score = monitor.last_batch.scores[0]
             if not np.isnan(score):
                 online_scores.append(score)
@@ -192,9 +197,7 @@ class TestOnlineOfflineConsistency:
             (m for s in streams.values() for m in s),
             key=lambda m: m.timestamp,
         )
-        monitor = OnlineMonitor(
-            detector, threshold=float("inf"), tick_size=33
-        )
+        monitor = OnlineMonitor(detector, threshold=float("inf"))
         scores = np.concatenate(
             [
                 monitor.scorer.observe_batch(merged[i:i + 33]).scores
@@ -211,7 +214,7 @@ class TestOnlineOfflineConsistency:
     def test_run_warnings_match_observe_loop(self, detector,
                                              threshold):
         """Micro-batched run() emits exactly the warnings of a
-        message-at-a-time observe() loop."""
+        message-at-a-time observe_batch() loop."""
         stream = cyclic_stream(300)
         for start in (80, 200):
             for offset in range(4):
@@ -225,7 +228,7 @@ class TestOnlineOfflineConsistency:
         )
         loop_warnings = [
             w
-            for w in (loop_monitor.observe(m) for m in stream)
+            for w in (loop_monitor.observe_batch([m])[0] for m in stream)
             if w is not None
         ]
         run_monitor = OnlineMonitor(
@@ -238,17 +241,16 @@ class TestOnlineOfflineConsistency:
 
 
 class TestStrictOrder:
+    """Per-device timestamp order holds by dropping late arrivals."""
+
     def test_default_counts_nothing(self, detector, threshold):
         monitor = OnlineMonitor(detector, threshold)
         monitor.run(cyclic_stream(50))
-        assert monitor.strict_order
         assert monitor.n_reordered == 0
 
     def test_drop_mode_survives_misordered(self, detector,
                                            threshold):
-        monitor = OnlineMonitor(
-            detector, threshold, strict_order=False
-        )
+        monitor = OnlineMonitor(detector, threshold)
         stream = cyclic_stream(60)
         stale = make_message(
             timestamp=TRACE_START, text=TEXTS[0]
@@ -267,14 +269,10 @@ class TestStrictOrder:
 
     def test_observe_returns_none_for_dropped(self, detector,
                                               threshold):
-        monitor = OnlineMonitor(
-            detector, threshold, strict_order=False
-        )
-        monitor.observe(make_message(timestamp=TRACE_START + 100))
-        assert (
-            monitor.observe(make_message(timestamp=TRACE_START))
-            is None
-        )
+        monitor = OnlineMonitor(detector, threshold)
+        monitor.observe_batch([make_message(timestamp=TRACE_START + 100)])
+        late = make_message(timestamp=TRACE_START)
+        assert monitor.observe_batch([late]) == [None]
         assert monitor.n_reordered == 1
 
 

@@ -141,60 +141,3 @@ class TestEvaluationHelpers:
             for t in subset
         )
 
-
-class TestParallelWorkers:
-    def test_invalid_workers(self):
-        with pytest.raises(ValueError):
-            PipelineConfig(workers=0)
-
-    def test_pooled_training_matches_serial(self, small_dataset):
-        """workers>1 must reproduce the serial fit bit-for-bit.
-
-        Each group trains from its own seed on its own streams, so the
-        process pool only changes *where* the work runs.  The parent
-        must also re-bind the shared template store, so that later
-        ``store.extend`` calls stay visible to pooled detectors.
-        """
-        from repro.logs.templates import TemplateStore
-
-        fitted = {}
-        for workers in (1, 2):
-            config = PipelineConfig(
-                grouping="kmeans",
-                k=2,
-                adaptation=False,
-                seed=0,
-                workers=workers,
-            )
-            pipeline = RollingPipeline(
-                small_dataset, config, detector_factory=tiny_factory
-            )
-            month0 = pipeline._month_bounds(0)
-            store = TemplateStore().fit(
-                small_dataset.aggregate_messages(
-                    start=month0[0], end=month0[1], normal_only=True
-                )[: config.store_fit_messages]
-            )
-            grouping = pipeline._build_grouping(store, month0)
-            detectors = pipeline._fit_detectors(store, grouping, month0)
-            fitted[workers] = (grouping, detectors, store)
-
-        serial_grouping, serial, _ = fitted[1]
-        pooled_grouping, pooled, pooled_store = fitted[2]
-        assert serial_grouping.groups == pooled_grouping.groups
-        assert sorted(serial) == sorted(pooled)
-        for group in serial:
-            assert pooled[group].store is pooled_store
-            layers = zip(
-                serial[group].model.layers, pooled[group].model.layers
-            )
-            for serial_layer, pooled_layer in layers:
-                assert (
-                    serial_layer.params.keys()
-                    == pooled_layer.params.keys()
-                )
-                for key in serial_layer.params:
-                    assert np.array_equal(
-                        serial_layer.params[key],
-                        pooled_layer.params[key],
-                    ), f"group {group} layer {serial_layer.name} {key}"

@@ -4,12 +4,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.logs.persistence import store_from_json, store_to_json
 from repro.logs.templates import TemplateStore
 from repro.synthesis.catalog import ROUTINE_TEMPLATES
 from repro.timeutil import TRACE_START
 from tests.conftest import make_message
+from tests.logs.test_templates import _probes, corpora
 
 
 def corpus():
@@ -19,6 +21,39 @@ def corpus():
         for i, spec in enumerate(ROUTINE_TEMPLATES)
         for _ in range(3)
     ]
+
+
+class TestMergedLeaves:
+    """A merge can wildcard the token a leaf is keyed by; the rebuilt
+    store must keep such a signature in the leaf it was mined in."""
+
+    def test_merged_signature_keeps_its_leaf(self):
+        # "12 foo y" joins "foo x y"'s leaf (key token "foo") and the
+        # merge leaves "<*> <*> y", whose own key token is "y".
+        store = TemplateStore(merge_threshold=0.6).fit([
+            make_message(text="foo x y"),
+            make_message(text="12 foo y"),
+        ])
+        rebuilt = store_from_json(store_to_json(store))
+        probe = make_message(text="foo z y")
+        assert store.match(probe) == 1
+        assert rebuilt.match(probe) == 1
+        assert store_to_json(rebuilt) == store_to_json(store)
+
+    @settings(max_examples=150, deadline=None)
+    @given(corpora(), st.floats(0.3, 1.0))
+    def test_round_trip_matches_like_the_mined_store(
+        self, training, threshold
+    ):
+        store = TemplateStore(merge_threshold=threshold).fit(training)
+        rebuilt = store_from_json(store_to_json(store))
+        probes = list(training)
+        for message in training[:5]:
+            probes += _probes(message)
+        assert (
+            rebuilt.match_ids(probes).tolist()
+            == store.match_ids(probes).tolist()
+        )
 
 
 class TestRoundtrip:

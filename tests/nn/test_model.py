@@ -222,9 +222,9 @@ class TestCloneAndPersistence:
         assert not np.array_equal(after, before)
 
     def test_inference_state_is_never_pickled(self):
-        """Parallel training pickles models after clear_caches(): the
-        first-step table, the gate-major weights and the scratch a
-        predict built must not ride along."""
+        """A pickle, with or without clear_caches(), must not carry
+        the first-step table, the gate-major weights or the scratch a
+        predict built."""
         model = detector_stack(hidden=24)
         cold = len(pickle.dumps(model))
         model.predict(stack_windows(300))
@@ -281,15 +281,12 @@ class TestWeightFormat:
             assert int(archive[_FORMAT_KEY]) == WEIGHTS_FORMAT_VERSION
             assert str(archive[_DTYPE_KEY]) == "float64"
 
-    def test_legacy_untagged_archive_loads(self, tmp_path):
+    def test_untagged_archive_rejected(self, tmp_path):
         model = small_classifier()
-        x, y = toy_data(50)
-        model.fit(x, y, SoftmaxCrossEntropy(), Adam(0.01), epochs=1)
-        path = str(tmp_path / "legacy.npz")
-        np.savez(path, **model.get_weights())  # pre-versioning layout
-        fresh = small_classifier(seed=99)
-        fresh.load(path)
-        assert np.allclose(fresh.predict(x), model.predict(x))
+        path = str(tmp_path / "untagged.npz")
+        np.savez(path, **model.get_weights())
+        with pytest.raises(ValueError, match="not a tagged"):
+            small_classifier().load(path)
 
     def test_unknown_format_version_rejected(self, tmp_path):
         from repro.nn.model import _FORMAT_KEY
@@ -302,7 +299,7 @@ class TestWeightFormat:
         with pytest.raises(ValueError, match="format version 999"):
             small_classifier().load(path)
 
-    def test_dtype_mismatch_rejected_unless_cast(self, tmp_path):
+    def test_dtype_mismatch_rejected(self, tmp_path):
         from repro.nn.model import _DTYPE_KEY, _FORMAT_KEY
         from repro.nn.model import WEIGHTS_FORMAT_VERSION
 
@@ -314,11 +311,5 @@ class TestWeightFormat:
         )
         payload[_DTYPE_KEY] = np.array("float32")
         np.savez(path, **payload)
-        target = small_classifier()
         with pytest.raises(ValueError, match="float32"):
-            target.load(path)
-        target.load(path, allow_cast=True)
-        assert np.allclose(
-            target.get_weights()["out.W"],
-            model.get_weights()["out.W"],
-        )
+            small_classifier().load(path)

@@ -59,7 +59,7 @@ def detector():
 
 
 def fresh_monitor(detector, threshold=4.0):
-    return OnlineMonitor(detector, threshold, strict_order=False)
+    return OnlineMonitor(detector, threshold)
 
 
 def assert_states_equal(a, b):

@@ -295,18 +295,27 @@ class TestTelemetrySubcommand:
         assert snapshot["gauges"]["match.memo_hit_rate"] >= 0.5
         assert snapshot["counters"]["stream.n_reordered"] == 0
 
-    def test_prometheus_format_round_trips(self, tmp_path, capsys):
-        from repro.telemetry import from_prometheus
-
+    def test_prometheus_format_names_every_metric(
+        self, snapshot_path, tmp_path
+    ):
         out = tmp_path / "snapshot.prom"
         assert main([
             "telemetry", "--format", "prometheus",
             "--out", str(out),
         ]) == 0
         text = out.read_text()
+        snapshot = json.loads(snapshot_path.read_text())
+        helped = {
+            line.split(" ", 3)[3]
+            for line in text.splitlines()
+            if line.startswith("# HELP ")
+        }
+        assert helped == {
+            name for section in snapshot.values() for name in section
+        }
         assert "# TYPE repro_stream_ticks counter" in text
-        rebuilt = from_prometheus(text)
-        assert rebuilt.to_prometheus() == text
+        ticks = snapshot["counters"]["stream.ticks"]
+        assert f"\nrepro_stream_ticks {ticks}\n" in text
 
 
 class TestServe:
@@ -683,6 +692,20 @@ class TestServeErrors:
                 raw = np.frombuffer(json.dumps(meta).encode(), np.uint8)
             with open(path, "wb") as handle:
                 np.savez(handle, meta=raw, **arrays)
+        elif case in ("torn-weights-blob", "edited-weights-blob"):
+            root = data if shards == 1 else data / "shard-00"
+            store = ArtifactStore(root / "store")
+            release = store.manifest(store.current_id())
+            blob = store.object_path(release.artifacts["weights.npz"])
+            if case == "torn-weights-blob":
+                blob.write_bytes(blob.read_bytes()[:-100])
+            else:
+                # Re-saved with one weight moved: the archive parses.
+                with np.load(blob) as archive:
+                    weights = {key: archive[key] for key in archive.files}
+                weights["output.b"] = weights["output.b"] + 1.0
+                with open(blob, "wb") as handle:
+                    np.savez(handle, **weights)
         elif case == "missing-file":
             meta = json.loads((trace / "meta.json").read_text())
             meta["vpes"].append("vpe99")
@@ -720,6 +743,10 @@ class TestServeErrors:
             ("layout-1-checkpoint", 2, "checkpoint version 1 is not"),
             ("monitor-state-version", 1, "monitor state version 1 is not"),
             ("monitor-state-version", 2, "monitor state version 1 is not"),
+            ("torn-weights-blob", 1, "failed content verification"),
+            ("torn-weights-blob", 2, "failed content verification"),
+            ("edited-weights-blob", 1, "failed content verification"),
+            ("edited-weights-blob", 2, "failed content verification"),
             ("bad-topology", 1, "cannot read topology"),
             ("bad-topology", 2, "cannot read topology"),
             ("torn-line", 1, "vpe00.jsonl:2: malformed JSON"),
@@ -760,6 +787,18 @@ class TestServeErrors:
         if shards > 1 and case not in WHOLE_FLEET_CASES:
             # A shard's own state or trace: its worker's error frame.
             assert "failed to start" in err
+
+
+def broken_models(workflow, root):
+    """Copies of the workflow's model: one with a torn weights archive,
+    one with a malformed config."""
+    torn, bad = root / "torn-weights", root / "bad-config"
+    for model in (torn, bad):
+        shutil.copytree(workflow["model"], model)
+    weights = torn / "weights.npz"
+    weights.write_bytes(weights.read_bytes()[:-100])
+    (bad / "config.json").write_text('{"capacity": ')
+    return {"torn_weights": torn, "bad_config": bad}
 
 
 SERVE = [
@@ -807,6 +846,22 @@ class TestRefusedInput:
                 ],
                 "{missing}/config.json: cannot read the model",
             ),
+            (
+                [
+                    "detect", "--trace", "{trace}",
+                    "--model", "{torn_weights}", "--out", "{data}.csv",
+                ],
+                "{torn_weights}/weights.npz: cannot load the model "
+                "(BadZipFile:",
+            ),
+            (
+                [
+                    "detect", "--trace", "{trace}",
+                    "--model", "{bad_config}", "--out", "{data}.csv",
+                ],
+                "{bad_config}/config.json: cannot load the model "
+                "(JSONDecodeError:",
+            ),
         ],
     )
     def test_refused_in_one_line(
@@ -817,6 +872,7 @@ class TestRefusedInput:
             "trace": workflow["trace"],
             "model": workflow["model"],
             "missing": tmp_path / "no-model",
+            **broken_models(workflow, tmp_path),
         }
         capfd.readouterr()
         assert main([arg.format(**paths) for arg in argv]) == 2
@@ -830,6 +886,8 @@ class TestRefusedInput:
         [
             ["--model", "{missing}"],
             ["--model", "{torn}"],
+            ["--model", "{torn_weights}"],
+            ["--model", "{bad_config}"],
             [],
             ["--model", "{model}", "--rca", "--topology", "{missing}"],
             ["--rollback"],
@@ -838,7 +896,8 @@ class TestRefusedInput:
             ["--model", "{model}", "--trace", "{unparsed}"],
         ],
         ids=[
-            "missing-model", "missing-templates", "no-model", "no-topology",
+            "missing-model", "missing-templates", "torn-weights",
+            "malformed-config", "no-model", "no-topology",
             "rollback", "missing-trace", "vpe-without-file",
             "vpe-file-unparsed",
         ],
@@ -871,6 +930,7 @@ class TestRefusedInput:
             "model": workflow["model"],
             "unlisted": unlisted,
             "unparsed": unparsed,
+            **broken_models(workflow, tmp_path),
         }
         data = tmp_path / "svc"
         serve = [

@@ -5,6 +5,7 @@ bench modules; these tests keep those promises honest as the code
 evolves.
 """
 
+import importlib.util
 import pathlib
 import re
 
@@ -80,6 +81,19 @@ class TestExamples:
             ), path.name
             assert "def main()" in source, path.name
             assert '__name__ == "__main__"' in source, path.name
+
+    def test_every_example_imports(self):
+        """Each example loads, so every name it imports exists; its
+        ``main()`` does not run."""
+        paths = sorted((ROOT / "examples").glob("*.py"))
+        assert paths
+        for path in paths:
+            spec = importlib.util.spec_from_file_location(
+                f"examples.{path.stem}", path
+            )
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            assert callable(module.main), path.name
 
 
 class TestServiceDocs:
